@@ -206,9 +206,8 @@ func benchAblationSolve(b *testing.B, opt lpOptions) {
 	tr.SetSolveOptions(opt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Two regimes per iteration: τ=8 (constraints everywhere — crash and
-		// decomposition matter) and τ=64 (most rows redundant — presolve
-		// matters).
+		// Two regimes per iteration: τ=8 (constraints everywhere — the crash
+		// start matters) and τ=64 (most rows redundant).
 		if _, err := tr.Value(8); err != nil {
 			b.Fatal(err)
 		}
@@ -223,24 +222,16 @@ type lpOptions = lp.Options
 // BenchmarkAblationFull runs the truncation LP with all optimizations on.
 func BenchmarkAblationFull(b *testing.B) { benchAblationSolve(b, lpOptions{}) }
 
-// BenchmarkAblationNoPresolve disables redundant-row elimination.
-func BenchmarkAblationNoPresolve(b *testing.B) { benchAblationSolve(b, lpOptions{NoPresolve: true}) }
-
-// BenchmarkAblationNoDecompose solves everything as one simplex block.
-func BenchmarkAblationNoDecompose(b *testing.B) {
-	benchAblationSolve(b, lpOptions{NoDecompose: true})
-}
-
 // BenchmarkAblationNoCrash starts the simplex from x = 0.
 func BenchmarkAblationNoCrash(b *testing.B) { benchAblationSolve(b, lpOptions{NoCrash: true}) }
 
 // --- τ-grid benchmarks (cold per-race pipeline vs amortized GridSolver) ---
 
 // BenchmarkR2TGrid measures a full race grid (every τ R2T would solve) per
-// workload, in two modes: "cold" rebuilds and solves one LP per race the
-// pre-grid way; "grid" routes the schedule through the shared-skeleton
-// GridSolver. cmd/benchjson runs the same workloads and records the numbers
-// in BENCH_R2T.json.
+// workload, in two modes: "cold" rebuilds and solves one LP per race with
+// nothing shared across τ; "grid" routes the schedule through the
+// shared-skeleton GridSolver. cmd/benchjson runs the same workloads and
+// records the numbers in BENCH_R2T.json.
 func BenchmarkR2TGrid(b *testing.B) {
 	workloads, err := experiments.GridWorkloads(0.05)
 	if err != nil {
@@ -260,14 +251,6 @@ func BenchmarkR2TGrid(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := w.SolveGrid(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/grid-warm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.SolveGridWarm(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,11 +2,10 @@
 // testing.Benchmark and writes them as JSON.
 //
 // BENCH_R2T.json covers the τ-grid workloads (the same ones BenchmarkR2TGrid
-// runs): for every workload it times the cold per-race baseline (one full
-// lp.Solve pipeline per τ, the pre-grid behaviour), the grid path
-// (production: shared skeleton, cold per-τ simplex), and the warm-start mode,
-// and verifies that cold and grid objectives agree bit-for-bit before
-// recording anything.
+// runs): for every workload it times the cold per-race baseline (one lp.Solve
+// per τ, i.e. a one-τ GridSolver built for each race) against the grid path
+// (production: one shared skeleton, cold per-τ simplex), and verifies that
+// cold and grid objectives agree bit-for-bit before recording anything.
 //
 // BENCH_EXEC.json covers the join executor (BenchmarkExecJoin /
 // BenchmarkGroupBy): the legacy map-based serial executor vs the indexed
@@ -172,12 +171,6 @@ func runGrid(out string, sf float64) {
 		}
 		grid.Speedup = round2(float64(cold.NsPerOp) / float64(grid.NsPerOp))
 		res.Modes["grid"] = grid
-		warm, err := measure(w.SolveGridWarm)
-		if err != nil {
-			fatal(w.Name, err)
-		}
-		warm.Speedup = round2(float64(cold.NsPerOp) / float64(warm.NsPerOp))
-		res.Modes["grid-warm"] = warm
 
 		// One instrumented grid solve for the stage/counter breakdown. The
 		// recorder is pure observation (estimates stay bit-identical), and is
@@ -190,16 +183,16 @@ func runGrid(out string, sf float64) {
 		w.Tr.SetRecorder(nil)
 		res.Profile = rec.Snapshot()
 
-		fmt.Fprintf(os.Stderr, "%-16s cold %8dns  grid %8dns (%.2fx, allocs %d→%d)  warm %8dns (%.2fx)\n",
+		fmt.Fprintf(os.Stderr, "%-16s cold %8dns  grid %8dns (%.2fx, allocs %d→%d)\n",
 			w.Name, cold.NsPerOp, grid.NsPerOp, grid.Speedup,
-			cold.AllocsPerOp, grid.AllocsPerOp, warm.NsPerOp, warm.Speedup)
+			cold.AllocsPerOp, grid.AllocsPerOp)
 		results = append(results, res)
 	}
 
 	results = append(results, runPartition(sf)...)
 	results = append(results, runChooser())
 
-	writeDoc(out, "Full τ-grid solve (every race R2T runs for GS_Q=1024): cold per-race lp.Solve pipeline vs amortized lp.GridSolver. grid is the production path (bit-identical objectives, enforced above); grid-warm chains simplex warm starts across τ (exact but not bit-stable, see DESIGN.md). The partition workloads race the production grid LP (grid-lp) against the closed-form partition truncator (partition) on single-FK SJA shapes — bit-identical values enforced, speedup gated >= 5x. The chooser workload runs a mixed query set end to end under Mechanism \"auto\" vs always-R2T — auto is gated never slower, and queries where auto falls back to R2T gate on bit-identical seeded releases.", results)
+	writeDoc(out, "Full τ-grid solve (every race R2T runs for GS_Q=1024): cold rebuilds the LP per race and lp.Solves it (a one-τ lp.GridSolver built per race, nothing shared across τ) vs grid, the production path (one lp.GridSolver skeleton shared by every race; bit-identical objectives, enforced above). The partition workloads race the production grid LP (grid-lp) against the closed-form partition truncator (partition) on single-FK SJA shapes — bit-identical values enforced, speedup gated >= 5x. The chooser workload runs a mixed query set end to end under Mechanism \"auto\" vs always-R2T — auto is gated never slower, and queries where auto falls back to R2T gate on bit-identical seeded releases.", results)
 }
 
 // partitionResult is one fast-path workload's record: the production grid LP

@@ -27,28 +27,6 @@ func (f *flakyTruncator) Value(tau float64) (float64, error) {
 	return f.fakeTruncator.Value(tau)
 }
 
-// flakyGrid adds a Values method that fails as a unit, modeling a broken
-// amortized pass over a healthy per-race path.
-type flakyGrid struct {
-	flakyTruncator
-	gridErr error
-}
-
-func (g *flakyGrid) Values(taus []float64) ([]float64, error) {
-	if g.gridErr != nil {
-		return nil, g.gridErr
-	}
-	out := make([]float64, len(taus))
-	for i, tau := range taus {
-		v, err := g.Value(tau)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func degradeCfg(workers int) Config {
 	return Config{Epsilon: 1, Beta: 0.1, GSQ: 256, Noise: dp.ZeroNoise{}, Degrade: true, Workers: workers}
 }
@@ -165,37 +143,6 @@ func TestAllRacesFailedIsAnErrorNotAFloorRelease(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "no race survived") {
 			t.Fatalf("workers=%d: want no-survivor error, got %v", workers, err)
 		}
-	}
-}
-
-func TestDegradeGridFallback(t *testing.T) {
-	// A grid pass that fails as a unit must fall back to per-race solves
-	// under Degrade: every race still releases, the run is not degraded,
-	// and the estimate matches the healthy grid run bit for bit.
-	healthy := &flakyGrid{flakyTruncator: flakyTruncator{fakeTruncator: fakeTruncator{answer: 1000, tauStar: 8}}}
-	broken := &flakyGrid{
-		flakyTruncator: flakyTruncator{fakeTruncator: fakeTruncator{answer: 1000, tauStar: 8}},
-		gridErr:        fmt.Errorf("synthetic grid failure"),
-	}
-	cfg := degradeCfg(1)
-	want, err := Run(healthy, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(broken, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Degraded {
-		t.Fatal("fallback with all races healthy must not be marked degraded")
-	}
-	if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) {
-		t.Fatalf("fallback estimate %v != grid estimate %v", got.Estimate, want.Estimate)
-	}
-	// Without Degrade the grid failure is still fatal (legacy contract).
-	cfg.Degrade = false
-	if _, err := Run(broken, cfg); err == nil {
-		t.Fatal("grid failure without Degrade must fail the run")
 	}
 }
 

@@ -143,15 +143,6 @@ type DualBounded interface {
 	Bounder(tau float64) *lp.DualBounder
 }
 
-// GridTruncator is implemented by truncators (the LP one) that can evaluate a
-// whole τ schedule with amortized work. Each returned entry must be
-// bit-identical to the corresponding Value call, so routing the races through
-// it never changes the released estimate.
-type GridTruncator interface {
-	truncation.Truncator
-	Values(taus []float64) ([]float64, error)
-}
-
 // Run executes R2T over the truncated estimator tr.
 //
 // Privacy: each race's Q(I,τ^(j)) has global sensitivity ≤ τ^(j) (truncator
@@ -318,85 +309,38 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		return nil
 	}
 
-	// Without early stop every race is solved exactly, so a grid-capable
-	// truncator evaluates the whole schedule in one amortized pass (the
-	// τ-independent LP structure is shared across races). Values is
-	// bit-identical to per-race Value calls, so the estimate is unchanged;
-	// noise was already drawn above, in the same order as the race loop.
-	// Early stop keeps the per-race loop: pruning decisions interleave with
-	// solves and depend on the running best.
-	// The race section — grid pass or per-race loop — is timed as one
-	// wall-clock interval, so concurrent race workers are not double-counted.
+	// Largest τ first: those LPs tend to solve fastest (their capacity rows
+	// are mostly redundant), and a strong early best prunes the rest. The
+	// race section is timed as one wall-clock interval, so concurrent race
+	// workers are not double-counted.
 	stopLP := cfg.Recorder.Time(obs.StageLPSolve)
-	gridTr, canGrid := tr.(GridTruncator)
-	useGrid := canGrid && !useEarly && n > 0
-	if useGrid {
-		if interrupted() {
-			return nil, ErrInterrupted
+	if workers == 1 {
+		for j := n - 1; j >= 0; j-- {
+			if err := attemptRace(j); err != nil {
+				return nil, err
+			}
 		}
-		gridStart := time.Now()
-		vs, gridErr := func() (vs []float64, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("r2t: grid pass panicked: %v", p)
-				}
-			}()
-			return gridTr.Values(taus)
-		}()
-		switch {
-		case gridErr == nil:
-			per := time.Since(gridStart) / time.Duration(n)
-			for j := n - 1; j >= 0; j-- {
-				shift := noise[j] - penaltyFactor*taus[j]
-				finish(Race{
-					Tau:      taus[j],
-					Solved:   true,
-					Value:    vs[j],
-					Noisy:    vs[j] + shift,
-					Duration: per, // amortized share of the grid pass
-				})
-			}
-		case cfg.Degrade:
-			// The amortized pass fails as a unit, so it cannot skip a single
-			// bad τ. Fall back to per-race solves: healthy races still
-			// release, and only the genuinely failing ones degrade.
-			useGrid = false
-		default:
-			return nil, gridErr
+	} else {
+		idx := make(chan int, n)
+		for j := n - 1; j >= 0; j-- {
+			idx <- j
 		}
-	}
-	if !useGrid {
-		// Largest τ first: those LPs tend to solve fastest (their capacity
-		// rows are mostly redundant), and a strong early best prunes the
-		// rest.
-		if workers == 1 {
-			for j := n - 1; j >= 0; j-- {
-				if err := attemptRace(j); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			idx := make(chan int, n)
-			for j := n - 1; j >= 0; j-- {
-				idx <- j
-			}
-			close(idx)
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					for j := range idx {
-						if err := attemptRace(j); err != nil {
-							errs <- err
-							return
-						}
+		close(idx)
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				for j := range idx {
+					if err := attemptRace(j); err != nil {
+						errs <- err
+						return
 					}
-					errs <- nil
-				}()
-			}
-			for w := 0; w < workers; w++ {
-				if err := <-errs; err != nil {
-					return nil, err
 				}
+				errs <- nil
+			}()
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -14,14 +14,12 @@ import (
 // GridWorkload is one τ-grid benchmarking workload: the occurrence form of a
 // query, its LP truncator, and the race schedule R2T would solve for the
 // configured GS_Q. It backs BenchmarkR2TGrid and cmd/benchjson, which compare
-// the pre-grid per-race pipeline against the amortized grid solver.
+// a per-race rebuild of the LP against the amortized grid solver.
 type GridWorkload struct {
 	Name string
 	Occ  *truncation.Occurrences
 	Tr   *truncation.LPTruncator
 	Taus []float64
-
-	grid *lp.GridSolver // lazily built, for the warm-start mode
 }
 
 // RaceSchedule returns R2T's τ ladder for a global sensitivity bound:
@@ -40,7 +38,7 @@ func RaceSchedule(gsq float64) []float64 {
 // Q1-) plus one multi-way TPC-H join. These are the amortization-bound sizes:
 // per-race problem construction and presolve are a large share of the cold
 // cost, which is the regime the grid solver targets. Hub-heavy wedge LPs are
-// pivot-bound instead (see DESIGN.md, "Grid solving & warm starts") and gain
+// pivot-bound instead (see DESIGN.md, "Grid solving") and gain
 // little from structure sharing, so they are not recorded here.
 func GridWorkloads(tpchSF float64) ([]GridWorkload, error) {
 	var out []GridWorkload
@@ -79,9 +77,9 @@ func GridWorkloads(tpchSF float64) ([]GridWorkload, error) {
 	return out, nil
 }
 
-// SolveCold evaluates every race the pre-grid way: materialize one packing LP
-// per τ and run the full lp.Solve pipeline (presolve, decomposition, crash)
-// from scratch — exactly what LPTruncator.Value did before the grid solver.
+// SolveCold evaluates every race with nothing shared across τ: materialize
+// one packing LP per race and lp.Solve it, which builds a one-τ GridSolver
+// (presolve, decomposition) for that race alone before solving.
 func (w GridWorkload) SolveCold() ([]float64, error) {
 	out := make([]float64, len(w.Taus))
 	for i, tau := range w.Taus {
@@ -101,46 +99,11 @@ func (w GridWorkload) SolveCold() ([]float64, error) {
 // path (shared skeleton, τ-monotone redundancy, pooled workspaces). Results
 // are bit-identical to SolveCold.
 func (w GridWorkload) SolveGrid() ([]float64, error) {
-	return w.Tr.Values(w.Taus)
+	return truncation.Values(w.Tr, w.Taus)
 }
 
-// SolveGridWarm additionally warm-starts each race's simplex from the
-// previous τ's optimum. Objectives can differ from the cold path at the ulp
-// level (alternate optima), so production releases don't use this mode; it
-// quantifies the warm-start headroom.
-func (w *GridWorkload) SolveGridWarm() ([]float64, error) {
-	if w.grid == nil {
-		skeleton := coldProblem(w.Occ, 0)
-		nGroups := 0
-		if w.Occ.Groups != nil {
-			nGroups = len(w.Occ.Groups)
-		}
-		tauRows := make([]int, len(skeleton.Rows)-nGroups)
-		for i := range tauRows {
-			tauRows[i] = nGroups + i
-		}
-		g, err := lp.NewGridSolver(skeleton, tauRows)
-		if err != nil {
-			return nil, err
-		}
-		w.grid = g
-	}
-	sols, err := w.grid.SolveSchedule(w.Taus, lp.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(sols))
-	for i, sol := range sols {
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("gridbench: τ=%g not optimal", w.Taus[i])
-		}
-		out[i] = sol.Objective
-	}
-	return out, nil
-}
-
-// coldProblem rebuilds the per-τ truncation LP from occurrence form, the way
-// the pre-grid LPTruncator.Value materialized it on every race: one variable
+// coldProblem rebuilds the per-τ truncation LP from occurrence form, the
+// same problem LPTruncator's skeleton represents at that τ: one variable
 // per positive-ψ occurrence (c = 1, ub = ψ), one fixed row per projection
 // group, one τ-capacity row per individual.
 func coldProblem(o *truncation.Occurrences, tau float64) *lp.Problem {

@@ -81,7 +81,7 @@ func PartitionWorkloads(tpchSF float64) ([]PartitionWorkload, error) {
 // pipeline, including truncator construction — the end-to-end cost the engine
 // pays per query when the fast path is disabled.
 func (w PartitionWorkload) SolveLP() ([]float64, error) {
-	return truncation.NewLPFromOccurrences(w.Occ).Values(w.Taus)
+	return truncation.Values(truncation.NewLPFromOccurrences(w.Occ), w.Taus)
 }
 
 // SolvePartition is the same schedule through the closed-form partition
@@ -92,5 +92,5 @@ func (w PartitionWorkload) SolvePartition() ([]float64, error) {
 	if pt == nil {
 		return nil, fmt.Errorf("mechbench: %s lost its partition shape", w.Name)
 	}
-	return pt.Values(w.Taus)
+	return truncation.Values(pt, w.Taus)
 }

@@ -2,8 +2,7 @@
 // structure and differ only in the capacity bound b = τ of the truncation
 // rows (Sections 5–7). GridSolver computes everything τ-independent once —
 // duplicate-row merging, c ≤ 0 fixings, redundancy thresholds, and the
-// connected-component decomposition — and solves the whole τ schedule with
-// amortized work:
+// connected-component decomposition — and solves each τ with amortized work:
 //
 //   - Redundancy is τ-monotone: a capacity row with Σ coef·ub ≤ τ is slack at
 //     every feasible point, hence redundant at every larger τ. Each row is
@@ -14,26 +13,17 @@
 //     split further (rows disappear as τ grows), so each per-τ component is
 //     recovered by a cheap array-based union-find inside its parent block —
 //     or, in the common all-rows-live case, reused verbatim from the cache.
-//   - Consecutive solves can warm-start the simplex: the optimum at a smaller
-//     τ stays feasible when capacities grow, so its at-upper-bound variables
-//     are re-flipped before pivoting begins. The simplex still runs to the
-//     exact optimum (R2T's privacy proof is a property of the optimum), and a
-//     warm run that exhausts its iteration budget falls back to a cold solve.
-//     Caveat: a warm start may terminate at a different vertex among alternate
-//     optima, whose floating-point objective can differ from the cold one at
-//     the ulp level; callers that must release bit-stable values (the R2T
-//     truncation path) solve with Options.NoWarmStart.
 //
-// SolveTau (and SolveSchedule with NoWarmStart) replays exactly the pipeline
-// of Solve — same presolve decisions, same component partition, same pivot
-// sequence — so its results are bitwise identical to a fresh Solve of the
-// materialized problem.
+// Every τ is solved cold: the simplex starts from the same greedy crash point
+// whatever was solved before, so SolveTau's result depends only on the
+// materialized per-τ problem — same presolve decisions, same component
+// partition, same pivot sequence — and is bitwise identical to Solve of that
+// problem (which is itself a GridSolver with no τ-rows).
 package lp
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"r2t/internal/fault"
 )
@@ -95,8 +85,7 @@ func NewGridSolver(p *Problem, tauRows []int) (*GridSolver, error) {
 		g.tauRow[i] = true
 	}
 
-	// Merge duplicates and drop c ≤ 0 variables (fixed at 0 at every τ),
-	// exactly as newWork + presolve do per solve.
+	// Merge duplicates and drop c ≤ 0 variables (fixed at 0 at every τ).
 	live := make([]bool, p.NumVars)
 	for k := 0; k < p.NumVars; k++ {
 		live[k] = p.C[k] > 0
@@ -224,7 +213,7 @@ func (g *GridSolver) buildCoarse(live []bool) {
 			g.coarse[ci].maxSum = math.Inf(1)
 		}
 	}
-	// Cache each component's localized LP, matching buildLocal's layout.
+	// Cache each component's localized LP, matching buildLocalGrid's layout.
 	local := make([]int, p.NumVars)
 	for ci := range g.coarse {
 		comp := &g.coarse[ci]
@@ -261,9 +250,9 @@ func validTau(tau float64) error {
 // bitwise identical to Solve on the materialized problem (same presolve,
 // same components, same pivots). Safe for concurrent use.
 func (g *GridSolver) SolveTau(tau float64, opt Options) (*Solution, error) {
-	// Same failpoint as Solve: every exact-solve entry path is injectable,
-	// so chaos tests hit races regardless of which pipeline they route
-	// through. One atomic load when unarmed.
+	// Failpoint for crash-safety tests: lets the chaos suite deliver solver
+	// errors and panics at exact race indices. Every exact solve (Solve
+	// included) enters here. One atomic load when unarmed.
 	if err := fault.Check("lp.solve"); err != nil {
 		return nil, err
 	}
@@ -272,48 +261,6 @@ func (g *GridSolver) SolveTau(tau float64, opt Options) (*Solution, error) {
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	return g.solveTauWS(tau, opt, ws, nil)
-}
-
-// SolveSchedule solves the LP at every τ of the schedule, warm-starting each
-// solve from the optimum of the next-smaller τ (disable with
-// Options.NoWarmStart). Solutions are returned in the schedule's order.
-func (g *GridSolver) SolveSchedule(taus []float64, opt Options) ([]*Solution, error) {
-	for _, tau := range taus {
-		if err := validTau(tau); err != nil {
-			return nil, err
-		}
-	}
-	order := make([]int, len(taus))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return taus[order[a]] < taus[order[b]] })
-
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	out := make([]*Solution, len(taus))
-	var warmX []float64
-	for _, oi := range order {
-		if err := fault.Check("lp.solve"); err != nil {
-			return nil, err
-		}
-		sol, err := g.solveTauWS(taus[oi], opt, ws, warmX)
-		if err != nil {
-			return nil, err
-		}
-		out[oi] = sol
-		if !opt.NoWarmStart {
-			warmX = sol.X
-		}
-	}
-	return out, nil
-}
-
-// solveTauWS is the per-τ engine. warmX, when non-nil, is a full primal
-// solution of the same structure at a smaller (or equal) τ; its at-upper-
-// bound variables seed each component's simplex.
-func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace, warmX []float64) (*Solution, error) {
 	p := g.p
 	sol := &Solution{
 		Status: Optimal,
@@ -336,12 +283,12 @@ func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace, warmX [
 		}
 		if tau < comp.minSum {
 			// Every row live: the cached block is the exact per-τ component.
-			if err := g.solveBlock(comp, comp.vars, nil, tau, opt, ws, warmX, sol); err != nil {
+			if err := g.solveBlock(comp, comp.vars, nil, tau, opt, ws, sol); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if err := g.splitAndSolve(comp, tau, opt, ws, warmX, sol); err != nil {
+		if err := g.splitAndSolve(comp, tau, opt, ws, sol); err != nil {
 			return nil, err
 		}
 	}
@@ -352,7 +299,7 @@ func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace, warmX [
 // solveBlock solves one per-τ component. rowIDs lists the block's global row
 // ids (nil means all of comp.rows, reusing the cached localization); vars
 // lists the block's global variable ids, ascending.
-func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau float64, opt Options, ws *workspace, warmX []float64, sol *Solution) error {
+func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau float64, opt Options, ws *workspace, sol *Solution) error {
 	var (
 		n, m  int
 		c, ub []float64
@@ -372,9 +319,8 @@ func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau fl
 		}
 		rowIDs = comp.rows
 	} else {
-		// Re-localize the sub-block from the global structure, matching what
-		// Solve's solveComponent would build for this component.
-		n, m, c, ub, rows = buildLocalGrid(g, component{vars: vars, rows: rowIDs}, tau, ws)
+		// Re-localize the sub-block from the global structure.
+		n, m, c, ub, rows = buildLocalGrid(g, vars, rowIDs, tau, ws)
 	}
 
 	var cs *compSolution
@@ -385,19 +331,7 @@ func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau fl
 		yOut[0] = y
 		cs = &compSolution{status: Optimal, x: x, y: yOut}
 	} else {
-		var warm []bool
-		if warmX != nil {
-			warm = growB(&ws.warm, n)
-			for j, k := range vars {
-				warm[j] = warmX[k] == ub[j] && ub[j] > 0
-			}
-		}
-		cs, err = simplexSolveWS(n, m, c, ub, rows, opt, warm, ws)
-		if err == nil && warm != nil && cs.status != Optimal {
-			// Warm start failed to converge within the iteration budget:
-			// fall back to the cold solve, bit-identical to Solve.
-			cs, err = simplexSolveWS(n, m, c, ub, rows, opt, nil, ws)
-		}
+		cs, err = simplexSolve(n, m, c, ub, rows, opt, ws)
 	}
 	if err != nil {
 		return err
@@ -417,28 +351,30 @@ func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau fl
 	return nil
 }
 
-// buildLocalGrid localizes a sub-component against the grid's merged rows,
-// substituting τ into the τ-rows.
-func buildLocalGrid(g *GridSolver, comp component, tau float64, ws *workspace) (n, m int, c, ub []float64, rows []Row) {
+// buildLocalGrid localizes a sub-component (vars ascending, rowIDs
+// ascending) against the grid's merged rows, substituting τ into the τ-rows.
+// Every slice is drawn from workspace buffers, valid until the workspace is
+// reused.
+func buildLocalGrid(g *GridSolver, vars, rowIDs []int, tau float64, ws *workspace) (n, m int, c, ub []float64, rows []Row) {
 	p := g.p
-	n, m = len(comp.vars), len(comp.rows)
+	n, m = len(vars), len(rowIDs)
 	local := growI(&ws.local, p.NumVars)
 	c = growF(&ws.compC, n)
 	ub = growF(&ws.compUB, n)
-	for j, k := range comp.vars {
+	for j, k := range vars {
 		local[k] = j
 		c[j] = p.C[k]
 		ub[j] = p.UB[k]
 	}
 	nnz := 0
-	for _, ri := range comp.rows {
+	for _, ri := range rowIDs {
 		nnz += len(g.rowIdx[ri])
 	}
 	idxBack := growI(&ws.compIdx, nnz)
 	cfBack := growF(&ws.compCf, nnz)
 	rows = growRows(&ws.compRow, m)
 	off := 0
-	for i, ri := range comp.rows {
+	for i, ri := range rowIDs {
 		src := g.rowIdx[ri]
 		idx := idxBack[off : off+len(src)]
 		cf := cfBack[off : off+len(src)]
@@ -458,9 +394,9 @@ func buildLocalGrid(g *GridSolver, comp component, tau float64, ws *workspace) (
 
 // splitAndSolve handles the mixed regime: some of the component's τ-rows are
 // redundant at this τ, so the block splits into smaller live components and
-// freed variables fix at their upper bounds — exactly the refinement Solve's
-// presolve + decomposition would compute from scratch.
-func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws *workspace, warmX []float64, sol *Solution) error {
+// freed variables fix at their upper bounds — exactly the refinement a
+// presolve + decomposition of the materialized problem would compute.
+func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws *workspace, sol *Solution) error {
 	p := g.p
 	nv := len(comp.vars)
 	local := growI(&ws.local, p.NumVars)
@@ -504,7 +440,7 @@ func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws 
 
 	// Group variables by root. Roots get block ids first (a member may precede
 	// its root in index order), then members inherit; ascending j keeps each
-	// block's vars sorted, matching Solve. Freed variables (in no live row)
+	// block's vars sorted. Freed variables (in no live row)
 	// fix at their upper bound.
 	compOf := growI(&ws.compOf, nv)
 	nBlocks, nLive := 0, 0
@@ -573,7 +509,7 @@ func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws 
 	for blk := 0; blk < nBlocks; blk++ {
 		vars := blkVars[blkPtr[blk]:blkPtr[blk+1]]
 		rowIDs := blkRows[blkRowPtr[blk]:blkRowPtr[blk+1]]
-		if err := g.solveBlock(comp, vars, rowIDs, tau, opt, ws, warmX, sol); err != nil {
+		if err := g.solveBlock(comp, vars, rowIDs, tau, opt, ws, sol); err != nil {
 			return err
 		}
 	}

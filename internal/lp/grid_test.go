@@ -61,11 +61,17 @@ func sameBits(a, b float64) bool {
 }
 
 // requireBitwiseEqual asserts two solutions of the same problem are exactly
-// identical: status, objective, and every primal/dual entry bit for bit.
+// identical: status, work counters, objective, and every primal/dual entry
+// bit for bit. RedundantSkips is not compared: it counts GridSolver's
+// threshold shortcuts, which the reference pipeline does not take.
 func requireBitwiseEqual(t *testing.T, tag string, got, want *Solution) {
 	t.Helper()
 	if got.Status != want.Status {
 		t.Fatalf("%s: status %v, want %v", tag, got.Status, want.Status)
+	}
+	if got.Iters != want.Iters || got.Pivots != want.Pivots || got.Components != want.Components {
+		t.Fatalf("%s: work (iters %d, pivots %d, components %d), want (%d, %d, %d)",
+			tag, got.Iters, got.Pivots, got.Components, want.Iters, want.Pivots, want.Components)
 	}
 	if !sameBits(got.Objective, want.Objective) {
 		t.Fatalf("%s: objective %v (bits %x), want %v (bits %x)",
@@ -85,22 +91,36 @@ func requireBitwiseEqual(t *testing.T, tag string, got, want *Solution) {
 }
 
 func TestGridSolveTauBitwiseEqualsSolve(t *testing.T) {
-	for pi, p := range gridCorpus() {
-		tauRows := allTauRows(p)
-		g, err := NewGridSolver(p, tauRows)
-		if err != nil {
-			t.Fatalf("problem %d: NewGridSolver: %v", pi, err)
-		}
-		for _, tau := range gridTaus {
-			want, err := Solve(materialize(p, tauRows, tau), Options{})
+	// Both production entry points — SolveTau on the shared skeleton and
+	// Solve on the materialized per-τ problem — must reproduce the reference
+	// pipeline bit for bit, with and without the crash start.
+	for _, opt := range []Options{{}, {NoCrash: true}} {
+		for pi, p := range gridCorpus() {
+			tauRows := allTauRows(p)
+			g, err := NewGridSolver(p, tauRows)
 			if err != nil {
-				t.Fatalf("problem %d τ=%g: Solve: %v", pi, tau, err)
+				t.Fatalf("problem %d: NewGridSolver: %v", pi, err)
 			}
-			got, err := g.SolveTau(tau, Options{})
-			if err != nil {
-				t.Fatalf("problem %d τ=%g: SolveTau: %v", pi, tau, err)
+			for _, tau := range gridTaus {
+				q := materialize(p, tauRows, tau)
+				want, err := referenceSolve(q, opt)
+				if err != nil {
+					t.Fatalf("problem %d τ=%g: referenceSolve: %v", pi, tau, err)
+				}
+				got, err := g.SolveTau(tau, opt)
+				if err != nil {
+					t.Fatalf("problem %d τ=%g: SolveTau: %v", pi, tau, err)
+				}
+				requireBitwiseEqual(t, tagOf(pi, tau)+" SolveTau", got, want)
+				solo, err := Solve(q, opt)
+				if err != nil {
+					t.Fatalf("problem %d τ=%g: Solve: %v", pi, tau, err)
+				}
+				requireBitwiseEqual(t, tagOf(pi, tau)+" Solve", solo, want)
+				if solo.RedundantSkips != 0 {
+					t.Fatalf("%s: Solve took %d redundancy skips without τ-rows", tagOf(pi, tau), solo.RedundantSkips)
+				}
 			}
-			requireBitwiseEqual(t, tagOf(pi, tau), got, want)
 		}
 	}
 }
@@ -115,63 +135,6 @@ func ftoa(f float64) string {
 		return itoa(int(f))
 	}
 	return "frac"
-}
-
-func TestGridScheduleColdBitwiseEqualsSolve(t *testing.T) {
-	for pi, p := range gridCorpus() {
-		tauRows := allTauRows(p)
-		g, err := NewGridSolver(p, tauRows)
-		if err != nil {
-			t.Fatalf("problem %d: %v", pi, err)
-		}
-		sols, err := g.SolveSchedule(gridTaus, Options{NoWarmStart: true})
-		if err != nil {
-			t.Fatalf("problem %d: SolveSchedule: %v", pi, err)
-		}
-		for ti, tau := range gridTaus {
-			want, err := Solve(materialize(p, tauRows, tau), Options{})
-			if err != nil {
-				t.Fatalf("problem %d τ=%g: %v", pi, tau, err)
-			}
-			requireBitwiseEqual(t, tagOf(pi, tau), sols[ti], want)
-		}
-	}
-}
-
-func TestGridScheduleWarmEqualsSolve(t *testing.T) {
-	// A warm start may reach a different vertex among alternate optima, so
-	// neither X nor the floating-point objective is bit-pinned (e.g. an
-	// integral vertex sums to exactly 60 where a fractional one sums to
-	// 59.999999999999986). The optimum is still exact: require equal Status,
-	// an objective within ulp-level relative tolerance, and a full optimality
-	// certificate on the returned vertex. Callers that need bit-stable
-	// results (truncation/core) solve with NoWarmStart.
-	for pi, p := range gridCorpus() {
-		tauRows := allTauRows(p)
-		g, err := NewGridSolver(p, tauRows)
-		if err != nil {
-			t.Fatalf("problem %d: %v", pi, err)
-		}
-		sols, err := g.SolveSchedule(gridTaus, Options{})
-		if err != nil {
-			t.Fatalf("problem %d: SolveSchedule: %v", pi, err)
-		}
-		for ti, tau := range gridTaus {
-			q := materialize(p, tauRows, tau)
-			want, err := Solve(q, Options{})
-			if err != nil {
-				t.Fatalf("problem %d τ=%g: %v", pi, tau, err)
-			}
-			got := sols[ti]
-			if got.Status != want.Status {
-				t.Fatalf("%s: status %v, want %v", tagOf(pi, tau), got.Status, want.Status)
-			}
-			if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
-				t.Fatalf("%s: warm objective %v, want %v", tagOf(pi, tau), got.Objective, want.Objective)
-			}
-			checkCertificate(t, q, got)
-		}
-	}
 }
 
 func TestGridMixedFixedAndTauRows(t *testing.T) {
@@ -194,7 +157,7 @@ func TestGridMixedFixedAndTauRows(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, tau := range gridTaus {
-			want, err := Solve(materialize(p, tauRows, tau), Options{})
+			want, err := referenceSolve(materialize(p, tauRows, tau), Options{})
 			if err != nil {
 				t.Fatalf("trial %d τ=%g: %v", trial, tau, err)
 			}
@@ -245,7 +208,7 @@ func TestGridConcurrentSolves(t *testing.T) {
 	want := make(map[float64]*Solution)
 	taus := []float64{1, 2, 4, 8, 16, 32}
 	for _, tau := range taus {
-		sol, err := Solve(materialize(p, tauRows, tau), Options{})
+		sol, err := referenceSolve(materialize(p, tauRows, tau), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,31 +247,5 @@ func TestGridRejectsBadInput(t *testing.T) {
 		if _, err := g.SolveTau(tau, Options{}); err == nil {
 			t.Fatalf("expected error for τ=%v", tau)
 		}
-		if _, err := g.SolveSchedule([]float64{1, tau}, Options{}); err == nil {
-			t.Fatalf("expected schedule error for τ=%v", tau)
-		}
-	}
-}
-
-func TestGridScheduleOrderIndependent(t *testing.T) {
-	// Results are keyed to the schedule's order but solved ascending; a
-	// shuffled schedule returns the same per-τ solutions.
-	p := cliqueLP(5, 0)
-	g, err := NewGridSolver(p, allTauRows(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	asc := []float64{1, 2, 4, 8}
-	desc := []float64{8, 4, 2, 1}
-	sa, err := g.SolveSchedule(asc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := g.SolveSchedule(desc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range asc {
-		requireBitwiseEqual(t, "order", sd[len(desc)-1-i], sa[i])
 	}
 }

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// knapsack solves the single-constraint LP with fresh result slices; see
+// knapsackWS for the semantics.
+func knapsack(c, ub []float64, row Row) ([]float64, float64) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	x, y := knapsackWS(c, ub, row, ws)
+	return append([]float64(nil), x...), y
+}
+
 func TestKnapsackZeroCapacity(t *testing.T) {
 	// B = 0: nothing fits, and the dual must still certify optimality — the
 	// cap ≤ 0 fallback picks the best unstarted ratio, here 3.

@@ -121,8 +121,8 @@ type Solution struct {
 	Components int       // independent blocks solved (knapsack or simplex)
 	// RedundantSkips counts τ-monotone redundancy eliminations taken by
 	// GridSolver: whole components fixed at their bounds plus individual rows
-	// dropped in the mixed regime. Always 0 from plain Solve, whose presolve
-	// re-derives redundancy from scratch instead of skipping by threshold.
+	// dropped in the mixed regime. Always 0 from Solve, whose problem has
+	// no τ-rows.
 	RedundantSkips int
 }
 

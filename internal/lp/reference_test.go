@@ -1,0 +1,283 @@
+package lp
+
+import "sort"
+
+// This file keeps the original per-solve pipeline as a test-only reference:
+// presolve, decomposition and localization recomputed from scratch on every
+// call, with nothing shared across solves. The bit-identity tests hold
+// GridSolver.SolveTau (and hence Solve) to it — same X, Y, objective,
+// status and work counters — so the amortized production path cannot drift
+// from what an independent recomputation of the same pipeline produces.
+
+// referenceSolve solves p by the reference pipeline: presolve →
+// connected-component decomposition → per-component knapsack or simplex.
+func referenceSolve(p *Problem, opt Options) (*Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	w := newWork(p)
+	w.presolve()
+
+	sol := &Solution{
+		Status: Optimal,
+		X:      make([]float64, p.NumVars),
+		Y:      make([]float64, len(p.Rows)),
+	}
+	for k, v := range w.fixedX {
+		sol.X[k] = v
+	}
+
+	for _, comp := range w.components() {
+		cs, err := solveComponent(w, comp, opt, ws)
+		if err != nil {
+			return nil, err
+		}
+		if cs.status != Optimal {
+			sol.Status = cs.status
+		}
+		sol.Iters += cs.iters
+		sol.Pivots += cs.pivots
+		sol.Components++
+		for j, k := range comp.vars {
+			sol.X[k] = cs.x[j]
+		}
+		for i, r := range comp.rows {
+			sol.Y[r] = cs.y[i]
+		}
+	}
+	sol.Objective = p.Value(sol.X)
+	return sol, nil
+}
+
+// work holds the presolved view of a problem: live rows with reduced
+// capacities, live variables with (possibly tightened) bounds, and values
+// already fixed.
+type work struct {
+	p      *Problem
+	ub     []float64 // working upper bounds
+	liveV  []bool
+	liveR  []bool
+	rowB   []float64
+	rowIdx [][]int // live members per row (filtered of fixed-at-zero vars)
+	rowCf  [][]float64
+	fixedX map[int]float64
+}
+
+func newWork(p *Problem) *work {
+	w := &work{
+		p:      p,
+		ub:     append([]float64(nil), p.UB...),
+		liveV:  make([]bool, p.NumVars),
+		liveR:  make([]bool, len(p.Rows)),
+		rowB:   make([]float64, len(p.Rows)),
+		rowIdx: make([][]int, len(p.Rows)),
+		rowCf:  make([][]float64, len(p.Rows)),
+		fixedX: make(map[int]float64),
+	}
+	for k := 0; k < p.NumVars; k++ {
+		w.liveV[k] = true
+	}
+	for i, r := range p.Rows {
+		w.liveR[i] = true
+		w.rowB[i] = r.B
+		w.rowIdx[i], w.rowCf[i] = mergeDuplicates(r.Idx, r.Coef)
+	}
+	return w
+}
+
+// presolve applies:
+//   - fix variables with c ≤ 0 at 0 (valid for packing LPs: they cannot help
+//     the objective and only consume capacity);
+//   - drop redundant rows (Σ coef·ub ≤ b) — slack at every feasible point,
+//     so y = 0 is a valid dual for them;
+//   - fix variables in no live row at their upper bound (c > 0 there).
+//
+// These reductions preserve exact global primal and dual solutions, which the
+// optimality certificate (strong duality) in the tests relies on.
+func (w *work) presolve() {
+	// c ≤ 0 → 0, once.
+	for k := 0; k < w.p.NumVars; k++ {
+		if w.p.C[k] <= 0 {
+			w.liveV[k] = false
+			w.fixedX[k] = 0
+		}
+	}
+	for i := range w.rowIdx {
+		w.filterRow(i)
+	}
+
+	for i := range w.rowIdx {
+		if !w.liveR[i] {
+			continue
+		}
+		idx, cf := w.rowIdx[i], w.rowCf[i]
+		sum := 0.0
+		for j, k := range idx {
+			sum += cf[j] * w.ub[k]
+		}
+		if sum <= w.rowB[i] {
+			w.liveR[i] = false
+		}
+	}
+
+	// Variables in no live row: fix at ub (their c > 0 by the first step).
+	inRow := make([]bool, w.p.NumVars)
+	for i := range w.rowIdx {
+		if !w.liveR[i] {
+			continue
+		}
+		for _, k := range w.rowIdx[i] {
+			inRow[k] = true
+		}
+	}
+	for k := 0; k < w.p.NumVars; k++ {
+		if w.liveV[k] && !inRow[k] {
+			w.liveV[k] = false
+			w.fixedX[k] = w.ub[k]
+		}
+	}
+}
+
+// filterRow removes fixed variables from row i, charging fixed-at-ub values
+// against the row capacity (fixed values here are always 0, since ub-fixing
+// happens after all row filtering, but keep it general).
+func (w *work) filterRow(i int) {
+	idx, cf := w.rowIdx[i], w.rowCf[i]
+	nIdx, nCf := idx[:0], cf[:0]
+	for j, k := range idx {
+		if w.liveV[k] {
+			nIdx = append(nIdx, k)
+			nCf = append(nCf, cf[j])
+			continue
+		}
+		w.rowB[i] -= cf[j] * w.fixedX[k]
+	}
+	w.rowIdx[i], w.rowCf[i] = nIdx, nCf
+	if w.rowB[i] < 0 {
+		w.rowB[i] = 0
+	}
+	if len(nIdx) == 0 {
+		w.liveR[i] = false
+	}
+}
+
+// component is an independent block of the presolved problem.
+type component struct {
+	vars []int // original variable ids
+	rows []int // original row ids
+}
+
+// components groups live rows/vars into connected components of the
+// bipartite row–variable incidence graph.
+func (w *work) components() []component {
+	parent := make(map[int]int) // over variable ids
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	for i := range w.rowIdx {
+		if !w.liveR[i] {
+			continue
+		}
+		var first = -1
+		for _, k := range w.rowIdx[i] {
+			if _, ok := parent[k]; !ok {
+				parent[k] = k
+			}
+			if first < 0 {
+				first = k
+			} else {
+				union(first, k)
+			}
+		}
+	}
+	group := make(map[int]*component)
+	var roots []int
+	for k := range parent {
+		r := find(k)
+		g, ok := group[r]
+		if !ok {
+			g = &component{}
+			group[r] = g
+			roots = append(roots, r)
+		}
+		g.vars = append(g.vars, k)
+	}
+	for i := range w.rowIdx {
+		if !w.liveR[i] {
+			continue
+		}
+		r := find(w.rowIdx[i][0])
+		group[r].rows = append(group[r].rows, i)
+	}
+	sort.Ints(roots)
+	out := make([]component, 0, len(roots))
+	for _, r := range roots {
+		g := group[r]
+		sort.Ints(g.vars)
+		sort.Ints(g.rows)
+		out = append(out, *g)
+	}
+	return out
+}
+
+func solveComponent(w *work, comp component, opt Options, ws *workspace) (*compSolution, error) {
+	n, m, c, ub, rows := buildLocal(w.p.C, w.ub, w.rowIdx, w.rowCf, w.rowB, comp, ws)
+	if m == 1 {
+		x, y := knapsackWS(c, ub, rows[0], ws)
+		yOut := growF(&ws.outY, 1)
+		yOut[0] = y
+		return &compSolution{status: Optimal, x: x, y: yOut}, nil
+	}
+	return simplexSolve(n, m, c, ub, rows, opt, ws)
+}
+
+// buildLocal materializes one component's LP in local indexing, with every
+// slice drawn from workspace buffers (valid until the workspace is reused).
+// rowB supplies each original row's capacity, which is the one τ-dependent
+// piece of the structure.
+func buildLocal(C, UB []float64, rowIdx [][]int, rowCf [][]float64, rowB []float64, comp component, ws *workspace) (n, m int, c, ub []float64, rows []Row) {
+	n, m = len(comp.vars), len(comp.rows)
+	// local is indexed by global variable id; every entry a row reads is
+	// written first, because each row's variables belong to the component.
+	local := growI(&ws.local, len(C))
+	c = growF(&ws.compC, n)
+	ub = growF(&ws.compUB, n)
+	for j, k := range comp.vars {
+		local[k] = j
+		c[j] = C[k]
+		ub[j] = UB[k]
+	}
+	nnz := 0
+	for _, ri := range comp.rows {
+		nnz += len(rowIdx[ri])
+	}
+	idxBack := growI(&ws.compIdx, nnz)
+	cfBack := growF(&ws.compCf, nnz)
+	rows = growRows(&ws.compRow, m)
+	off := 0
+	for i, ri := range comp.rows {
+		src := rowIdx[ri]
+		idx := idxBack[off : off+len(src)]
+		cf := cfBack[off : off+len(src)]
+		off += len(src)
+		for j, k := range src {
+			idx[j] = local[k]
+		}
+		copy(cf, rowCf[ri])
+		rows[i] = Row{Idx: idx, Coef: cf, B: rowB[ri]}
+	}
+	return n, m, c, ub, rows
+}

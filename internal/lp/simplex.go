@@ -12,15 +12,7 @@ type crashCand struct {
 	density float64
 }
 
-// simplexSolve runs the bounded-variable revised simplex with a fresh
-// workspace from the pool and no warm-start hint.
-func simplexSolve(n, m int, c, ub []float64, rows []Row, opt Options) (*compSolution, error) {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	return simplexSolveWS(n, m, c, ub, rows, opt, nil, ws)
-}
-
-// simplexSolveWS runs a bounded-variable revised primal simplex on one
+// simplexSolve runs a bounded-variable revised primal simplex on one
 // component: maximize c·x s.t. rows (Ax ≤ b, A ≥ 0, b ≥ 0), 0 ≤ x ≤ ub.
 // The slack basis is feasible because b ≥ 0, so no phase 1 is needed.
 // Variables n..n+m-1 are the slacks (lower bound 0, upper bound +∞).
@@ -29,13 +21,10 @@ func simplexSolve(n, m int, c, ub []float64, rows []Row, opt Options) (*compSolu
 // rule out cycling.
 //
 // Scratch comes from ws; the returned compSolution aliases ws buffers and is
-// only valid until the next solve reuses the workspace. warm is an optional
-// starting hint in component-local indexing: warm[v] asks to start structural
-// variable v at its upper bound. Flips are applied only while they fit the
-// remaining capacities, so any hint is safe; the simplex still runs to the
-// exact optimum from there. A nil warm uses the greedy density crash (unless
-// opt.NoCrash), which is the deterministic cold path Solve uses.
-func simplexSolveWS(n, m int, c, ub []float64, rows []Row, opt Options, warm []bool, ws *workspace) (*compSolution, error) {
+// only valid until the next solve reuses the workspace. The start is the
+// greedy density crash (x = 0 under opt.NoCrash), a deterministic function of
+// the component, so equal components always take the same pivot sequence.
+func simplexSolve(n, m int, c, ub []float64, rows []Row, opt Options, ws *workspace) (*compSolution, error) {
 	const (
 		tol         = 1e-9
 		degStreak   = 60  // degenerate pivots before switching to Bland
@@ -130,26 +119,14 @@ func simplexSolveWS(n, m int, c, ub []float64, rows []Row, opt Options, warm []b
 		}
 	}
 
-	// Warm start: re-flip the variables that sat at their upper bound in the
-	// adjacent τ's optimum. That point stays feasible when capacities grow,
-	// so the flips fit (the explicit check only guards floating-point drift).
-	if warm != nil {
-		for v := 0; v < n; v++ {
-			if warm[v] && c[v] > 0 && ub[v] > 0 && flipFits(v) {
-				flip(v)
-			}
-		}
-	}
-
 	// Greedy crash start: flip variables to their upper bound while every
 	// row still has capacity, densest (cost per unit of capacity) first.
 	// This starts the simplex near the optimum instead of at zero, which
-	// cuts iterations dramatically on the truncation LPs. After a warm
-	// start it tops up whatever new capacity the larger τ opened.
+	// cuts iterations dramatically on the truncation LPs.
 	if !opt.NoCrash {
 		cands := ws.cands[:0]
 		for v := 0; v < n; v++ {
-			if c[v] <= 0 || ub[v] <= 0 || atUB[v] {
+			if c[v] <= 0 || ub[v] <= 0 {
 				continue
 			}
 			weight := 0.0

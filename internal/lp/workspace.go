@@ -4,8 +4,8 @@ import "sync"
 
 // workspace holds the reusable scratch buffers of one solve: the simplex's
 // column store, basis state and dense inverse, the component-extraction
-// arrays, and the grid solver's per-τ liveness/union-find scratch. Solve and
-// GridSolver check one out of a sync.Pool per call, so concurrent callers
+// arrays, and the grid solver's per-τ liveness/union-find scratch. Every
+// SolveTau checks one out of a sync.Pool, so concurrent callers
 // (R2T's parallel race workers) each reuse their own buffers instead of
 // thrashing the allocator.
 type workspace struct {
@@ -30,7 +30,7 @@ type workspace struct {
 	matBack  []float64
 	rhs      []float64
 
-	// component extraction (shared by Solve and GridSolver).
+	// component extraction.
 	local   []int // global variable id → component-local index
 	compC   []float64
 	compUB  []float64
@@ -45,11 +45,10 @@ type workspace struct {
 	// knapsack scratch.
 	items []knapItem
 
-	// grid solver per-τ scratch: union-find state, live-row list, warm-start
-	// mask, and the counting-sort buffers that bucket vars/rows by block.
+	// grid solver per-τ scratch: union-find state, live-row list, and the
+	// counting-sort buffers that bucket vars/rows by block.
 	parent    []int
 	liveRows  []int
-	warm      []bool
 	compOf    []int
 	blkPtr    []int
 	blkCur    []int

@@ -175,14 +175,13 @@ func (s *Server) serveShardSubQuery(payload []byte) ([]byte, error) {
 		return appErr(fmt.Errorf("unknown dataset %q", q.Dataset)), nil
 	}
 	opt := r2t.Options{
-		Epsilon:          q.Epsilon,
-		GSQ:              q.GSQ,
-		Beta:             q.Beta,
-		Primary:          q.Primary,
-		AllowNegativeSum: q.Signed,
-		Mechanism:        mech.MechR2T,
-		EarlyStop:        true,
-		ExecWorkers:      s.execWorkers,
+		Epsilon:     q.Epsilon,
+		GSQ:         q.GSQ,
+		Beta:        q.Beta,
+		Primary:     q.Primary,
+		Mechanism:   mech.MechR2T,
+		EarlyStop:   true,
+		ExecWorkers: s.execWorkers,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
 	defer cancel()

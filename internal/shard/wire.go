@@ -20,7 +20,6 @@ type SubQuery struct {
 	Epsilon float64  `json:"epsilon"`
 	GSQ     float64  `json:"gsq"`
 	Beta    float64  `json:"beta,omitempty"`
-	Signed  bool     `json:"signed,omitempty"` // AllowNegativeSum signed split
 }
 
 // Reply is the shard→router response payload (JSON inside a TypePartial

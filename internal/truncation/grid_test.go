@@ -21,7 +21,7 @@ func TestValuesBitIdenticalToValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
 		tr := NewLPFromOccurrences(randomOccurrences(rng))
-		vs, err := tr.Values(raceTaus)
+		vs, err := Values(tr, raceTaus)
 		if err != nil {
 			t.Fatalf("trial %d: Values: %v", trial, err)
 		}
@@ -38,8 +38,8 @@ func TestValuesBitIdenticalToValue(t *testing.T) {
 }
 
 func TestValueBitIdenticalToLegacySolve(t *testing.T) {
-	// The grid-backed Value must reproduce what the pre-grid implementation
-	// computed: lp.Solve on the materialized per-τ problem.
+	// The skeleton-sharing Value must reproduce lp.Solve on the materialized
+	// per-τ problem, which shares nothing across τ.
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 40; trial++ {
 		tr := NewLPFromOccurrences(randomOccurrences(rng))
@@ -63,11 +63,11 @@ func TestValueBitIdenticalToLegacySolve(t *testing.T) {
 }
 
 func TestValuesAblatedMatchesValue(t *testing.T) {
-	// Ablation switches bypass the grid; Values must still agree with Value.
+	// Under the NoCrash ablation switch Values must still agree with Value.
 	rng := rand.New(rand.NewSource(47))
 	tr := NewLPFromOccurrences(randomOccurrences(rng))
 	tr.SetSolveOptions(lp.Options{NoCrash: true})
-	vs, err := tr.Values(raceTaus)
+	vs, err := Values(tr, raceTaus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,10 @@ func TestValuesAblatedMatchesValue(t *testing.T) {
 
 func TestValuesRejectsNegativeTau(t *testing.T) {
 	tr := NewLPFromOccurrences(randomOccurrences(rand.New(rand.NewSource(1))))
-	if _, err := tr.Values([]float64{1, -2}); err == nil {
-		t.Fatal("expected error for negative τ in schedule")
+	for _, bad := range []float64{-2, math.NaN(), math.Inf(1)} {
+		if vs, err := Values(tr, []float64{1, bad}); err == nil {
+			t.Fatalf("τ=%v in schedule: want error, got %v", bad, vs)
+		}
 	}
 }
 

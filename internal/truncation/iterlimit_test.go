@@ -21,7 +21,7 @@ func cliqueOccurrences(k int) *Occurrences {
 
 // TestIterationLimitPropagatesAsError: when the LP solver exhausts its
 // iteration budget, Value and Values must return an error — never a partial
-// objective — on both the shared-grid path and the ablated lp.Solve path.
+// objective — with and without the NoCrash ablation switch.
 // R2T races may then skip the race (core.Config.Degrade) but can never
 // release a non-optimal value.
 func TestIterationLimitPropagatesAsError(t *testing.T) {
@@ -40,7 +40,7 @@ func TestIterationLimitPropagatesAsError(t *testing.T) {
 		tr.SetSolveOptions(lp.Options{MaxIters: 1})
 		v, err := tr.Value(2)
 		wantErr(t, v, err)
-		vs, err := tr.Values([]float64{2, 4})
+		vs, err := Values(tr, []float64{2, 4})
 		if err == nil {
 			t.Fatalf("Values under iteration limit returned %v with no error", vs)
 		}

@@ -98,7 +98,7 @@ func NewPartial(o *Occurrences) (*Partial, error) {
 }
 
 // MergedPartition is the closed-form truncator over the union of a set of
-// shard Partials. It implements the same Truncator and grid surface as
+// shard Partials. It implements the same Truncator surface as
 // PartitionTruncator (and, like it, deliberately does NOT implement the
 // early-stop Bounder hook, so core.Run takes the identical code path on both
 // the sharded and unsharded sides).
@@ -171,20 +171,6 @@ func (m *MergedPartition) Value(tau float64) (float64, error) {
 	i := sort.SearchFloat64s(m.sorted, math.Nextafter(tau, math.Inf(1)))
 	capped := float64(len(m.sorted) - i)
 	return m.free + m.prefix[i] + tau*capped, nil
-}
-
-// Values evaluates a whole τ schedule; each entry is bit-identical to the
-// corresponding Value call. core.Run routes the full race grid through this.
-func (m *MergedPartition) Values(taus []float64) ([]float64, error) {
-	out := make([]float64, len(taus))
-	for i, tau := range taus {
-		v, err := m.Value(tau)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // TrueAnswer returns Q(I) over the union.

@@ -107,7 +107,7 @@ func TestPartialMergeBitIdentical(t *testing.T) {
 					t.Fatalf("trial %d k=%d τ=%g: merged %v != unsharded %v", trial, k, tau, got, want)
 				}
 			}
-			gv, err := m.Values(taus)
+			gv, err := Values(m, taus)
 			if err != nil {
 				t.Fatalf("merged Values: %v", err)
 			}
@@ -194,6 +194,14 @@ func TestMergedPartitionValueValidation(t *testing.T) {
 	}
 	if _, err := m.Value(math.NaN()); err == nil {
 		t.Fatal("NaN τ accepted")
+	}
+	if _, err := m.Value(math.Inf(1)); err == nil {
+		t.Fatal("+Inf τ accepted")
+	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Values(m, []float64{1, bad}); err == nil {
+			t.Fatalf("Values with τ=%v accepted", bad)
+		}
 	}
 	if v, err := m.Value(0); err != nil || v != 0 {
 		t.Fatalf("Value(0) = %v, %v; want 0, nil", v, err)

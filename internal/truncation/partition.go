@@ -37,10 +37,10 @@
 //     result is bit-identical for ANY inputs — still orders of magnitude
 //     cheaper than presolve + components + simplex.
 //
-// Redundancy decisions use the same predicate as both LP pipelines
+// Redundancy decisions use the same predicate as the LP pipeline
 // (τ ≥ Σ_row ψ with the row sum accumulated in ascending variable order), so
 // the branch structure agrees with lp.GridSolver's τ-monotone classification
-// and lp.Solve's presolve on every input.
+// on every input.
 //
 // Which truncator is built depends on the private data (the provenance
 // sets), but — exactly as for the join-share cache (DESIGN.md §12) — the
@@ -67,8 +67,8 @@ const maxExactTotal = 1 << 52
 const maxExactTau = 1 << 53
 
 // PartitionTruncator is the closed-form Q(I,τ) for queries whose capacity
-// rows partition the LP variables. It implements the same Truncator (and
-// grid) surface as LPTruncator and is bit-identical to it everywhere.
+// rows partition the LP variables. It implements the same Truncator surface
+// as LPTruncator and is bit-identical to it everywhere.
 type PartitionTruncator struct {
 	psi   []float64 // ψ per LP variable (occurrences with ψ > 0, original order)
 	owner []int32   // per LP variable: owning individual, -1 = in no capacity row
@@ -229,26 +229,6 @@ func (t *PartitionTruncator) valueEmulate(tau float64) float64 {
 		obj += x
 	}
 	return obj
-}
-
-// Values evaluates a whole τ schedule; each entry is bit-identical to the
-// corresponding Value call (and hence to the LP grid pass). core.Run routes
-// the full race grid through this.
-func (t *PartitionTruncator) Values(taus []float64) ([]float64, error) {
-	for _, tau := range taus {
-		if tau < 0 {
-			return nil, fmt.Errorf("truncation: negative τ %g", tau)
-		}
-	}
-	out := make([]float64, len(taus))
-	for i, tau := range taus {
-		v, err := t.Value(tau)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // TrueAnswer returns Q(I).

@@ -105,11 +105,11 @@ func checkEquivalence(t *testing.T, o *Occurrences, taus []float64) {
 			valid = append(valid, tau)
 		}
 	}
-	pvs, err := pt.Values(valid)
+	pvs, err := Values(pt, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lvs, err := lt.Values(valid)
+	lvs, err := Values(lt, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,10 @@ func TestPartitionInvalidTau(t *testing.T) {
 			t.Fatalf("τ=%v: want error", tau)
 		}
 	}
-	if _, err := pt.Values([]float64{1, -2}); err == nil {
-		t.Fatal("Values with negative τ: want error")
+	for _, bad := range []float64{-2, math.NaN(), math.Inf(1)} {
+		if _, err := Values(pt, []float64{1, bad}); err == nil {
+			t.Fatalf("Values with τ=%v: want error", bad)
+		}
 	}
 }
 
@@ -212,7 +214,7 @@ func TestPartitionRecorderCounts(t *testing.T) {
 	if _, err := pt.Value(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pt.Values([]float64{1, 4}); err != nil {
+	if _, err := Values(pt, []float64{1, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Snapshot().Counters[obs.CtrPartitionValues.String()]; got != 3 {

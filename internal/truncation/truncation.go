@@ -36,10 +36,25 @@ type Truncator interface {
 	TauStar() float64
 }
 
+// Values evaluates Q(I,τ) for every τ of a schedule by calling tr.Value per
+// entry, so each result is exactly the corresponding Value call and every
+// invalid τ (negative, NaN, ±Inf) is rejected by the operator itself.
+func Values(tr Truncator, taus []float64) ([]float64, error) {
+	out := make([]float64, len(taus))
+	for i, tau := range taus {
+		v, err := tr.Value(tau)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 // LPTruncator is the LP-based Q(I,τ) for SJA and SPJA queries. It pre-builds
 // the constraint structure once; all τ evaluations share one lp.GridSolver
 // skeleton (presolve, duplicate-merge, and component decomposition are
-// computed once), so racing the full τ grid costs little more than one solve.
+// computed once), so each race pays only for its own per-τ solve.
 type LPTruncator struct {
 	psi      []float64 // ψ(q_k) per LP variable (join results with ψ > 0)
 	capRows  [][]int   // C_j: variables referencing individual j
@@ -250,12 +265,6 @@ func (t *LPTruncator) gridSolver() (*lp.GridSolver, error) {
 	return t.grid, t.gridErr
 }
 
-// ablated reports whether a solver ablation switch is on; those benchmark the
-// full legacy per-solve pipeline, so the grid skeleton must be bypassed.
-func (t *LPTruncator) ablated() bool {
-	return t.solveOpt.NoPresolve || t.solveOpt.NoDecompose || t.solveOpt.NoCrash
-}
-
 // Value solves the truncation LP at τ. Results are bit-identical to solving
 // the materialized per-τ problem with lp.Solve.
 func (t *LPTruncator) Value(tau float64) (float64, error) {
@@ -265,28 +274,16 @@ func (t *LPTruncator) Value(tau float64) (float64, error) {
 	if tau == 0 {
 		return 0, nil // every variable is capped to zero by its capacity rows
 	}
-	var (
-		sol *lp.Solution
-		err error
-	)
-	if t.ablated() {
-		sol, err = lp.Solve(t.problem(tau), t.solveOpt)
-	} else {
-		var g *lp.GridSolver
-		if g, err = t.gridSolver(); err == nil {
-			sol, err = g.SolveTau(tau, t.solveOpt)
-		}
-	}
+	g, err := t.gridSolver()
 	if err != nil {
 		return 0, err
 	}
-	return t.release(sol, tau)
-}
-
-// release guards the exactness contract shared by Value and Values, and
-// harvests the solve's work counters into the recorder (pure observation:
-// lp.Solution counters describe effort, never the optimum).
-func (t *LPTruncator) release(sol *lp.Solution, tau float64) (float64, error) {
+	sol, err := g.SolveTau(tau, t.solveOpt)
+	if err != nil {
+		return 0, err
+	}
+	// Harvest the solve's work counters (pure observation: lp.Solution
+	// counters describe effort, never the optimum).
 	if t.rec != nil {
 		t.rec.Add(obs.CtrSimplexIters, int64(sol.Iters))
 		t.rec.Add(obs.CtrSimplexPivots, int64(sol.Pivots))
@@ -301,63 +298,9 @@ func (t *LPTruncator) release(sol *lp.Solution, tau float64) (float64, error) {
 	return sol.Objective, nil
 }
 
-// Values evaluates Q(I,τ) for a whole τ schedule with amortized work — the
-// τ-independent structure is reused and solves are warm-start-free so that
-// every entry is bit-identical to the corresponding Value call (and hence to
-// per-τ lp.Solve). core.Run uses this for the full race grid.
-func (t *LPTruncator) Values(taus []float64) ([]float64, error) {
-	out := make([]float64, len(taus))
-	for _, tau := range taus {
-		if tau < 0 {
-			return nil, fmt.Errorf("truncation: negative τ %g", tau)
-		}
-	}
-	if t.ablated() {
-		for i, tau := range taus {
-			v, err := t.Value(tau)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	pos := make([]float64, 0, len(taus))
-	idx := make([]int, 0, len(taus))
-	for i, tau := range taus {
-		if tau > 0 { // τ = 0 entries stay at the exact floor 0
-			pos = append(pos, tau)
-			idx = append(idx, i)
-		}
-	}
-	if len(pos) == 0 {
-		return out, nil
-	}
-	g, err := t.gridSolver()
-	if err != nil {
-		return nil, err
-	}
-	opt := t.solveOpt
-	// Warm starts can return a different vertex among alternate optima whose
-	// floating-point objective differs at the ulp level; released values must
-	// match the per-τ cold solve exactly.
-	opt.NoWarmStart = true
-	sols, err := g.SolveSchedule(pos, opt)
-	if err != nil {
-		return nil, err
-	}
-	for j, sol := range sols {
-		v, err := t.release(sol, pos[j])
-		if err != nil {
-			return nil, err
-		}
-		out[idx[j]] = v
-	}
-	return out, nil
-}
-
-// SetSolveOptions overrides the LP solver options (used by the ablation
-// benchmarks; the defaults are correct for production use).
+// SetSolveOptions overrides the LP solver options (used by the NoCrash
+// ablation benchmark and the iteration-limit tests; the defaults are correct
+// for production use).
 func (t *LPTruncator) SetSolveOptions(opt lp.Options) { t.solveOpt = opt }
 
 // SetRecorder attaches a profiler; every subsequent solve folds its work

@@ -33,6 +33,21 @@ R2T_FAULTS='ci.smoke=err,errno=EIO,on=-1' go test -race \
 	./internal/server/
 go test -race -run 'TestDegrade|TestPanic|TestAllRacesFailed|TestCoreRaceFaultSite' ./internal/core/ ./internal/fault/
 
+# LP gate, named explicitly (these also ran inside the full suite above):
+# every release rests on the exact optimum of its τ-LP, so the one solve
+# path (GridSolver.SolveTau, which Solve wraps) must match the test-only
+# from-scratch reference pipeline bit for bit — X, Y, objective, status and
+# work counters — including mixed fixed/τ rows and concurrent callers; it
+# must pass its optimality certificates and stress corpora, and must surface
+# iteration exhaustion instead of an overclaimed objective. Above it, the
+# LP truncator must keep R2T's truncation properties and its Value/Values
+# bit-identity and reject non-optimal solves, and parallel core.Run races
+# must release the serial estimate — all under the race detector
+# (DESIGN.md §3c).
+go test -race -run 'TestGridSolveTau|TestGridMixed|TestGridConcurrent|TestQuickCertificate|TestMediumUnitProblems|TestIterationLimit|TestGridSolverIterationLimit' ./internal/lp/
+go test -race -run 'TestLPProperties|TestValues|TestValueBitIdentical|TestIterationLimitPropagatesAsError' ./internal/truncation/
+go test -race -run 'TestParallelBitIdenticalToSerial' ./internal/core/
+
 # Executor equivalence gate, named explicitly (these also ran inside the
 # full suite above): the optimized join executor must reproduce the frozen
 # baseline bit-for-bit — row order, ψ bits, provenance refs, projection
