@@ -37,10 +37,8 @@ func (db *DB) QueryBatch(ctx context.Context, batch []BatchQuery) ([]*Answer, er
 		return nil, fmt.Errorf("r2t: empty batch")
 	}
 	type item struct {
-		parsed *sql.Query
 		p      *plan.Plan
 		rec    *obs.Recorder
-		signed bool
 		choice *mech.Choice
 	}
 	items := make([]item, len(batch))
@@ -68,13 +66,7 @@ func (db *DB) QueryBatch(ctx context.Context, batch []BatchQuery) ([]*Answer, er
 		if err != nil {
 			return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
 		}
-		items[i] = item{
-			parsed: parsed,
-			p:      p,
-			rec:    rec,
-			signed: bq.Opt.AllowNegativeSum && parsed.Agg == sql.AggSum,
-			choice: choice,
-		}
+		items[i] = item{p: p, rec: rec, choice: choice}
 	}
 
 	// Group items by join signature, in first-appearance order.
@@ -109,25 +101,13 @@ func (db *DB) QueryBatch(ctx context.Context, batch []BatchQuery) ([]*Answer, er
 			}
 			start := time.Now()
 			it, opt := items[i], batch[i].Opt
-			var ans *Answer
-			if it.signed {
-				pos, neg, err := core.SplitResult(it.p, it.rec)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
-				ans, err = db.privatizeSigned(ctx, pos, neg, opt, it.rec, it.choice)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
-			} else {
-				res, err := core.Result(it.p, it.rec)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
-				ans, err = db.privatize(ctx, res, opt, it.rec, it.choice)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
+			units, err := coreUnits(core, it.p, opt, it.rec)
+			if err != nil {
+				return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
+			}
+			ans, err := release(ctx, units, opt, it.rec, it.choice)
+			if err != nil {
+				return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
 			}
 			ans.Duration = time.Since(start)
 			ans.Profile = it.rec.Snapshot()

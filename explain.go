@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"r2t/internal/exec"
+	"r2t/internal/mech"
 	"r2t/internal/plan"
 	"r2t/internal/schema"
 	"r2t/internal/sql"
@@ -183,7 +184,30 @@ func (db *DB) Explain(sqlText string, primary []string) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
+	return explain(parsed, p), nil
+}
 
+// ExplainChoice is Explain plus the mechanism Query would release with under
+// opt, resolved by the same data-independent chooser without touching any
+// data — so a caller that charges ε can reject an inapplicable mechanism
+// before the charge.
+func (db *DB) ExplainChoice(sqlText string, opt Options) (*Explanation, *mech.Choice, error) {
+	parsed, err := sql.Parse(sqlText)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
+	if err != nil {
+		return nil, nil, err
+	}
+	choice, err := chooseFor(p, opt, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return explain(parsed, p), choice, nil
+}
+
+func explain(parsed *sql.Query, p *plan.Plan) *Explanation {
 	e := &Explanation{
 		Query:      parsed.String(),
 		Aggregate:  parsed.Agg.String(),
@@ -207,5 +231,5 @@ func (db *DB) Explain(sqlText string, primary []string) (*Explanation, error) {
 	for _, f := range p.Filters {
 		e.Filters = append(e.Filters, sql.ExprString(f.Expr))
 	}
-	return e, nil
+	return e
 }

@@ -87,7 +87,7 @@ func (db *DB) QueryGroupByContext(ctx context.Context, sqlText string, column st
 	perGroup := opt
 	perGroup.Epsilon = opt.Epsilon / float64(len(groups))
 
-	signed := opt.AllowNegativeSum && parsed.Agg == sql.AggSum
+	signed := signedSplit(p, opt)
 	if signed && len(p.ProjVars) > 0 {
 		return nil, fmt.Errorf("r2t: signed split does not apply to projection queries")
 	}
@@ -115,13 +115,12 @@ func (db *DB) QueryGroupByContext(ctx context.Context, sqlText string, column st
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("r2t: group %v: %w", g, err)
 		}
-		var ans *Answer
+		results := []*exec.Result{parts[i]}
 		if signed {
 			pos, neg := exec.Split(parts[i])
-			ans, err = db.privatizeSigned(ctx, pos, neg, perGroup, rec, choice)
-		} else {
-			ans, err = db.privatize(ctx, parts[i], perGroup, rec, choice)
+			results = []*exec.Result{pos, neg}
 		}
+		ans, err := release(ctx, resultUnits(perGroup, rec, results...), perGroup, rec, choice)
 		if err != nil {
 			return nil, fmt.Errorf("r2t: group %v: %w", g, err)
 		}

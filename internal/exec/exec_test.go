@@ -269,7 +269,7 @@ func TestAgainstReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := RunReference(p, inst)
+			want, err := runReference(p, inst)
 			if err != nil {
 				t.Fatal(err)
 			}

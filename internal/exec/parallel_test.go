@@ -284,7 +284,7 @@ func TestExecEquivalenceRandomized(t *testing.T) {
 	}
 
 	for _, tr := range trials {
-		oracle, err := RunReference(tr.p, tr.inst)
+		oracle, err := runReference(tr.p, tr.inst)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tr.tag, err)
 		}

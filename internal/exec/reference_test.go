@@ -6,11 +6,11 @@ import (
 	"r2t/internal/value"
 )
 
-// RunReference evaluates a plan by brute-force nested-loop enumeration with
+// runReference evaluates a plan by brute-force nested-loop enumeration with
 // no indexes, no join ordering, and no pushdown. It exists purely as a
 // correctness oracle for the hash-join executor in tests; it is exponential
 // in the number of atoms and must only be used on tiny instances.
-func RunReference(p *plan.Plan, inst *storage.Instance) (*Result, error) {
+func runReference(p *plan.Plan, inst *storage.Instance) (*Result, error) {
 	filters := make([]boolFn, len(p.Filters))
 	for i, f := range p.Filters {
 		fn, err := compileBool(f.Expr, p)

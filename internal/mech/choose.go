@@ -52,7 +52,6 @@ type Shape struct {
 	Projection bool // COUNT(DISTINCT ...): SPJA group rows
 	SignedSum  bool // AllowNegativeSum split into Q⁺ − Q⁻
 	GroupBy    bool // per-group release with a split budget
-	Atoms      int  // atoms of the completed join
 }
 
 // Config carries the chooser's parameters.

@@ -128,7 +128,7 @@ func TestChooseDeterministic(t *testing.T) {
 	// The decision is a pure function of (shape, config): any two calls with
 	// equal inputs agree exactly. This is the data-independence property the
 	// server's pre-charge check and the engine's in-run choice rely on.
-	shapes := []Shape{{}, {SelfJoin: true}, {Projection: true, Atoms: 2}, {SignedSum: true}}
+	shapes := []Shape{{}, {SelfJoin: true}, {Projection: true}, {SignedSum: true}}
 	cfgs := []Config{
 		{Mechanism: MechAuto, Epsilon: 1, GSQ: 1024},
 		{Mechanism: MechAuto, Epsilon: 0.5, GSQ: 4096, ErrorTarget: 1e5},

@@ -44,6 +44,7 @@ type replNode struct {
 	ts         *httptest.Server
 	c          *testClient
 	ledgerPath string
+	reqLog     *bytes.Buffer // the operator request log; set on routers only
 }
 
 func startReplNode(t *testing.T, schemaPath, dataDir, base, name, role, primaryAddr string, syncReplicas int) *replNode {

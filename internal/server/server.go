@@ -35,7 +35,6 @@ import (
 
 	"r2t"
 	"r2t/internal/dp"
-	"r2t/internal/mech"
 	"r2t/internal/repl"
 	"r2t/internal/shard"
 )
@@ -444,34 +443,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Static analysis (parse, plan against the schema) catches bad SQL
-	// charge-free and yields the normalized query text the cache keys on.
-	expl, err := ds.DB.Explain(req.SQL, opt.Primary)
+	// charge-free and yields the normalized query text the cache keys on. The
+	// same pass resolves the mechanism BEFORE any charge can happen: the
+	// chooser reads only the query, the schema and the request's public
+	// parameters, so an inapplicable mechanism — or any auto-mode resolution —
+	// is decided charge-free, and no invalid-ε charge path exists (the engine
+	// re-runs the same deterministic choice when it releases and cannot
+	// disagree).
+	expl, choice, err := ds.DB.ExplainChoice(req.SQL, opt)
 	if err != nil {
 		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
 		return
 	}
 	normalized := expl.Query
-	// Resolve the mechanism against the query's structure BEFORE any charge
-	// can happen: the chooser reads only the explanation (query + schema) and
-	// the request's public parameters, so an inapplicable mechanism — or any
-	// auto-mode resolution — is decided charge-free, and no invalid-ε charge
-	// path exists (the engine re-runs the same deterministic choice inside
-	// QueryContext and cannot disagree).
-	choice, err := mech.Choose(mech.Shape{
-		SelfJoin:   expl.SelfJoin,
-		Projection: expl.Projection,
-	}, mech.Config{
-		Mechanism:   opt.Mechanism,
-		Epsilon:     opt.Epsilon,
-		GSQ:         opt.GSQ,
-		Beta:        opt.Beta,
-		FixedTau:    opt.FixedTau,
-		ErrorTarget: opt.ErrorTarget,
-	})
-	if err != nil {
-		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
-		return
-	}
 
 	timeout := s.timeout
 	if req.TimeoutMS > 0 {
@@ -511,18 +495,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	evaluate := func(ctx context.Context) (*r2t.Answer, error) { return ds.DB.QueryContext(ctx, req.SQL, opt) }
 	// Sharded datasets take the router path: charge here, evaluate there
 	// (scatter uncharged sub-queries, merge the shards' truncation partials,
 	// release once — DESIGN.md §16).
 	if ds.Sharded() {
-		s.routerQuery(ctx, w, ds, &req, opt, choice, normalized, key, start)
+		if evaluate, err = s.routerEvaluation(ds, req.SQL, opt, choice); err != nil {
+			s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
+			return
+		}
+	}
+	ans, cached, prof, err := s.chargedRelease(ctx, ds, opt, normalized, key, evaluate)
+	if err != nil {
+		status, code := classifyError(err)
+		s.fail(w, ds.Name, ds, status, start, code, err)
 		return
 	}
+	s.respondQuery(w, ds, normalized, ans, cached, start, prof)
+}
 
-	// Captured by the leader closure: the stage profile of a fresh run, for
-	// the operator log. Coalesced followers and cache hits leave it nil.
-	var prof *r2t.Profile
-	ans, cached, err := s.cache.do(ctx, key, func() (ca cachedAnswer, err error) {
+// chargedRelease is the one charge-then-evaluate path of a fresh release,
+// local and sharded alike: under the answer cache's single flight for key it
+// takes a worker slot, charges opt.Epsilon, runs evaluate, and publishes the
+// release. prof is the stage profile of a fresh run, for the operator log;
+// cache hits and coalesced followers leave it nil.
+func (s *Server) chargedRelease(ctx context.Context, ds *Dataset, opt r2t.Options, normalized, key string, evaluate func(context.Context) (*r2t.Answer, error)) (ans cachedAnswer, cached bool, prof *r2t.Profile, err error) {
+	ans, cached, err = s.cache.do(ctx, key, func() (ca cachedAnswer, err error) {
 		// Contain panics across the whole leader closure, not just the
 		// mechanism: a panicking leader would leave coalesced followers
 		// blocked on a flight that never resolves, and a panic between the
@@ -546,9 +544,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// Charge before running: the ledger append is the commit hook, so
 		// the charge is durable before it is admitted and admitted before
-		// the mechanism runs. From here on the charge stands even if the
-		// mechanism fails or the deadline expires (noise is already drawn;
-		// refunds would allow free re-runs).
+		// the mechanism runs — on a router, before any shard can observe the
+		// sub-query. From here on the charge stands even if the mechanism
+		// fails, the deadline expires or every shard is dead (noise is
+		// already drawn; refunds would allow free re-runs).
 		if err := ds.Budget.SpendWith(opt.Epsilon, func() error {
 			return s.ledger.Append(LedgerEntry{
 				Dataset:     ds.Name,
@@ -560,7 +559,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}); err != nil {
 			return cachedAnswer{}, err
 		}
-		a, err := ds.DB.QueryContext(ctx, req.SQL, opt)
+		a, err := evaluate(ctx)
 		if err != nil {
 			return cachedAnswer{}, err
 		}
@@ -575,16 +574,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			At:        time.Now(),
 		}
 		// Stream the release to replicas so their free-replay caches can serve
-		// it; best-effort, like the cache itself.
+		// it; best-effort, like the cache itself (a no-op on routers, which
+		// serve no replicas).
 		s.publishAnswer(key, ca)
 		return ca, nil
 	})
-	if err != nil {
-		status, code := classifyError(err)
-		s.fail(w, ds.Name, ds, status, start, code, err)
-		return
-	}
-	s.respondQuery(w, ds, normalized, ans, cached, start, prof)
+	return ans, cached, prof, err
 }
 
 // respondQuery writes the success path shared by fresh runs, cache hits, and

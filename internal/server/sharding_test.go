@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -166,6 +168,7 @@ func startRouterAt(t *testing.T, base, schemaPath string, nodes []shard.Node, ep
 	if err := os.MkdirAll(nodeDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	var reqLog bytes.Buffer
 	cfg := Config{
 		Datasets: []DatasetConfig{{
 			Name:       "shop",
@@ -180,13 +183,14 @@ func startRouterAt(t *testing.T, base, schemaPath string, nodes []shard.Node, ep
 		NodeName:     "router",
 		Role:         RoleRouter,
 		ShardTimeout: 2 * time.Second,
+		RequestLog:   &reqLog,
 	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("starting router: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	return &replNode{name: "router", srv: srv, ts: ts, c: &testClient{t: t, url: ts.URL}, ledgerPath: cfg.LedgerPath}
+	return &replNode{name: "router", srv: srv, ts: ts, c: &testClient{t: t, url: ts.URL}, ledgerPath: cfg.LedgerPath, reqLog: &reqLog}
 }
 
 // startTwin starts the unsharded single-node twin: same schema, the union of
@@ -213,7 +217,9 @@ func queryBody(sqlText string, eps float64) string {
 // the router's released answers are bitwise-equal to an unsharded twin
 // evaluating the same query sequence on the union of the rows with the same
 // noise seed. Nothing about sharding may perturb the release — not the
-// truncation, not the noise draws, not the order of anything.
+// truncation, not the noise draws, not the order of anything. The router's
+// fresh runs are profiled like local ones: their stages reach the request
+// log and /metrics, never the analyst response (DESIGN.md §11).
 func TestShardedEquivalence(t *testing.T) {
 	schemaPath := writeShopSchema(t)
 	data := genShop(7)
@@ -240,9 +246,24 @@ func TestShardedEquivalence(t *testing.T) {
 			defer twin.stop()
 
 			for _, q := range queries {
-				code, rr, rfail := router.c.query(queryBody(q, 0.5))
-				if code != http.StatusOK {
-					t.Fatalf("router %q: code %d: %s", q, code, rfail.Error)
+				resp, err := http.Post(router.ts.URL+"/v1/query", "application/json", strings.NewReader(queryBody(q, 0.5)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("router %q: code %d: %s", q, resp.StatusCode, raw)
+				}
+				if bytes.Contains(raw, []byte("stage")) {
+					t.Fatalf("router %q: analyst response carries stage data: %s", q, raw)
+				}
+				var rr queryResponse
+				if err := json.Unmarshal(raw, &rr); err != nil {
+					t.Fatal(err)
 				}
 				code, tr, _ := twin.c.query(queryBody(q, 0.5))
 				if code != http.StatusOK {
@@ -273,9 +294,32 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Errorf("router /metrics missing %q", want)
 				}
 			}
+			for _, stage := range []string{"parse", "plan", "truncation-build", "lp-solve", "noise"} {
+				if want := fmt.Sprintf(`r2td_stage_seconds_total{dataset="shop",stage="%s"}`, stage); !strings.Contains(rm, want) {
+					t.Errorf("router /metrics missing %s", want)
+				}
+			}
 			_, sm := shards[0].c.get("/metrics")
 			if !strings.Contains(sm, "r2td_shard_subqueries_served_total") {
 				t.Errorf("shard /metrics missing r2td_shard_subqueries_served_total")
+			}
+
+			// One request-log line per router request; the fresh runs carry
+			// their router-side stages, the replay none.
+			lines := strings.Split(strings.TrimRight(router.reqLog.String(), "\n"), "\n")
+			if len(lines) != len(queries)+1 {
+				t.Fatalf("router request log has %d lines, want %d:\n%s", len(lines), len(queries)+1, router.reqLog.String())
+			}
+			for i, line := range lines {
+				var e requestLogEntry
+				if err := json.Unmarshal([]byte(line), &e); err != nil {
+					t.Fatalf("log line %d not JSON: %v\n%s", i, err, line)
+				}
+				_, lp := e.Stages["lp-solve"]
+				_, noise := e.Stages["noise"]
+				if fresh := i < len(queries); fresh != (lp && noise) || !fresh && len(e.Stages) != 0 {
+					t.Errorf("log line %d (fresh=%v): stage_ms %v", i, fresh, e.Stages)
+				}
 			}
 		})
 	}
@@ -367,7 +411,8 @@ func TestRouterGates(t *testing.T) {
 // TestRouterChargeOnScatterFailure pins the dark side of charge-before-
 // scatter: a dead shard costs the analyst the ε (no refunds — a refund would
 // let failed runs probe for free) and returns 503 + Retry-After, and the
-// failure is NOT cached, so a retry charges again.
+// failure is NOT cached, so a retry charges again. A request deadline that
+// expires mid-scatter is a 504, as on a local dataset — and charged too.
 func TestRouterChargeOnScatterFailure(t *testing.T) {
 	schemaPath := writeShopSchema(t)
 	base := t.TempDir()
@@ -396,6 +441,31 @@ func TestRouterChargeOnScatterFailure(t *testing.T) {
 	_, rm := router.c.get("/metrics")
 	if !strings.Contains(rm, `r2td_shard_scatter_failures_total{dataset="shop"} 2`) {
 		t.Errorf("router /metrics missing scatter failure count:\n%s", rm)
+	}
+
+	// A shard that accepts the connection but never replies.
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hung.Close()
+	go func() {
+		for {
+			conn, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
+	hr := startRouterAt(t, t.TempDir(), schemaPath, []shard.Node{{Name: "hung", Addr: hung.Addr().String()}}, 10)
+	defer hr.stop()
+	code, _, fail := hr.c.query(strings.Replace(q, `"mechanism"`, `"timeout_ms":100,"mechanism"`, 1))
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline mid-scatter: code %d (%s), want 504", code, fail.Error)
+	}
+	if spent := hr.srv.reg.Get("shop").Budget.Spent(); spent != 0.5 {
+		t.Fatalf("deadline mid-scatter: spent %g, want 0.5 (the charge stands)", spent)
 	}
 }
 

@@ -3,8 +3,8 @@ package r2t
 import (
 	"context"
 	"fmt"
+	"time"
 
-	"r2t/internal/exec"
 	"r2t/internal/mech"
 	"r2t/internal/obs"
 	"r2t/internal/plan"
@@ -14,170 +14,113 @@ import (
 )
 
 // Partial is one shard's mergeable contribution to a partition-shaped
-// truncator (see internal/truncation/partial.go). A router merges the
-// per-shard partials with MergePartials and runs the release mechanism over
-// the merged operator; in the integer-exact regime the released estimate is
-// bit-identical to evaluating the unsharded union of rows.
+// truncator (see internal/truncation/partial.go). Each shard computes its
+// Partial with Partials; a router releases over all of them with
+// ReleasePartials, which merges them into the union operator. In the
+// integer-exact regime the released estimate is bit-identical to evaluating
+// the unsharded union of rows. Like every non-released intermediate, a
+// Partial is raw private data.
 type Partial = truncation.Partial
 
-// MergePartials combines per-shard partials into the union truncator.
-func MergePartials(parts []*Partial) (*truncation.MergedPartition, error) {
-	return truncation.MergePartials(parts)
-}
-
-// QueryPartials is the result of one UNCHARGED sub-query evaluation on a
-// shard: the mergeable partials for each release unit, in release order, and
-// no noise. The caller (the router) owns the ε accounting — it charges once
+// Partials evaluates a query's mergeable truncation partial WITHOUT charging
+// ε or drawing noise: the router owns the ε accounting — it charges once
 // before scattering sub-queries and adds noise only to the merged operator.
-// Like every non-released intermediate, partials are raw private data.
-type QueryPartials struct {
-	// Units holds one partial per release unit, in release order: a plain
-	// query has one unit; a signed split has two (positive, then negative);
-	// a group-by has one (or two, when signed) per group, in group order.
-	Units []*Partial
-	// Signed reports that units come in (positive, negative) pairs.
-	Signed bool
+// Options are validated exactly as for Query — the shard and the router must
+// agree on the public parameters — but only the structural fields matter
+// here: no mechanism runs. The query must pass mergeablePlan.
+func (db *DB) Partials(ctx context.Context, sqlText string, opt Options) (*Partial, error) {
+	p, _, err := db.mergeablePlan(sqlText, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c, err := db.coreFor(ctx, p, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.Result(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	return truncation.NewPartial(truncation.FromResult(res))
 }
 
-// Partials evaluates a query's mergeable truncation partials WITHOUT
-// charging ε or drawing noise. Options are validated exactly as for Query —
-// the shard and the router must agree on the public parameters — but only
-// the structural fields matter here: no mechanism runs. The resolved
-// mechanism must be r2t and the query must be partition-shaped (no
-// projection; each join result referencing at most one individual), the same
-// structure the partition fast path serves.
-func (db *DB) Partials(ctx context.Context, sqlText string, opt Options) (*QueryPartials, error) {
+// ReleasePartials is the router's release: it merges the shards' partials of
+// sqlText (one per shard, from Partials) into the union operator, timed as
+// the truncation-build stage, and runs the same release procedure as Query
+// over it. The Answer's mechanism fields come from the same chooser as a
+// local query's. Budget semantics are QueryContext's: the caller charges
+// opt.Epsilon before it scatters, and the charge stands on any error.
+func (db *DB) ReleasePartials(ctx context.Context, sqlText string, parts []*Partial, opt Options) (*Answer, error) {
+	start := time.Now()
+	var rec *obs.Recorder
+	if opt.Profile {
+		rec = obs.NewRecorder()
+	}
+	_, choice, err := db.mergeablePlan(sqlText, opt, rec)
+	if err != nil {
+		return nil, err
+	}
+	stopBuild := rec.Time(obs.StageTruncationBuild)
+	m, err := truncation.MergePartials(parts)
+	stopBuild()
+	if err != nil {
+		return nil, err
+	}
+	rows := 0
+	for _, part := range parts {
+		rows += part.NumResults
+	}
+	ans, err := release(ctx, []releaseUnit{{
+		truncator:   func(mech.TruncatorKind) (truncation.Truncator, error) { return m, nil },
+		answer:      m.TrueAnswer(),
+		tauStar:     m.TauStar(),
+		rows:        rows,
+		individuals: m.NumCapacityRows(),
+	}}, opt, rec, choice)
+	if err != nil {
+		return nil, err
+	}
+	ans.Duration = time.Since(start)
+	ans.Profile = rec.Snapshot()
+	return ans, nil
+}
+
+// mergeablePlan parses, plans and resolves the mechanism of a query whose
+// per-shard partials merge: the resolved mechanism is r2t on the LP operator,
+// with no signed split and no projection (each join result references at
+// most one individual), the structure the partition fast path serves.
+func (db *DB) mergeablePlan(sqlText string, opt Options, rec *obs.Recorder) (*plan.Plan, *mech.Choice, error) {
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	stopParse := rec.Time(obs.StageParse)
 	parsed, err := sql.Parse(sqlText)
+	stopParse()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	stopPlan := rec.Time(obs.StagePlan)
 	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
+	stopPlan()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	choice, err := chooseFor(p, opt, false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if choice.Mech != mech.MechR2T {
-		return nil, fmt.Errorf("r2t: mechanism %q does not produce mergeable partials (only r2t does)", choice.Mech)
+	switch {
+	case choice.Mech != mech.MechR2T:
+		return nil, nil, fmt.Errorf("r2t: mechanism %q does not produce mergeable partials (only r2t does)", choice.Mech)
+	case opt.Naive || signedSplit(p, opt):
+		return nil, nil, fmt.Errorf("r2t: naive truncation and signed splits have no mergeable partials")
+	case len(p.ProjVars) > 0:
+		return nil, nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
 	}
-	if len(p.ProjVars) > 0 {
-		return nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var rec *obs.Recorder
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	if opt.AllowNegativeSum && parsed.Agg == sql.AggSum {
-		pos, neg, err := c.SplitResult(p, rec)
-		if err != nil {
-			return nil, err
-		}
-		units, err := partialUnits(pos, neg)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryPartials{Units: units, Signed: true}, nil
-	}
-	res, err := c.Result(p, rec)
-	if err != nil {
-		return nil, err
-	}
-	units, err := partialUnits(res)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryPartials{Units: units}, nil
-}
-
-// GroupPartials is Partials for a group-by release: one unit per group (two
-// when the signed split applies), in group order — mirroring QueryGroupBy's
-// release order so a router that merges unit-by-unit and draws noise in the
-// same order reproduces the unsharded released sequence.
-func (db *DB) GroupPartials(ctx context.Context, sqlText string, column string, groups []Value, opt Options) (*QueryPartials, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("r2t: group-by needs at least one group value")
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	parsed, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	colRef, err := parseColumn(column)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
-	if err != nil {
-		return nil, err
-	}
-	groupVar := p.ColVar(colRef)
-	if groupVar < 0 {
-		return nil, fmt.Errorf("r2t: group-by column %q does not name a join column of the query (unknown or ambiguous)", column)
-	}
-	signed := opt.AllowNegativeSum && parsed.Agg == sql.AggSum
-	if len(p.ProjVars) > 0 {
-		return nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
-	}
-	perGroup := opt
-	perGroup.Epsilon = opt.Epsilon / float64(len(groups))
-	choice, err := chooseFor(p, perGroup, true)
-	if err != nil {
-		return nil, err
-	}
-	if choice.Mech != mech.MechR2T {
-		return nil, fmt.Errorf("r2t: mechanism %q does not produce mergeable partials (only r2t does)", choice.Mech)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var rec *obs.Recorder
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := c.PartitionedResult(p, rec, groupVar, groups, signed)
-	if err != nil {
-		return nil, err
-	}
-	out := &QueryPartials{Signed: signed}
-	for i := range groups {
-		var units []*Partial
-		if signed {
-			pos, neg := exec.Split(parts[i])
-			units, err = partialUnits(pos, neg)
-		} else {
-			units, err = partialUnits(parts[i])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("r2t: group %v: %w", groups[i], err)
-		}
-		out.Units = append(out.Units, units...)
-	}
-	return out, nil
-}
-
-// partialUnits converts evaluated results to partials, one per unit.
-func partialUnits(results ...*exec.Result) ([]*Partial, error) {
-	units := make([]*Partial, 0, len(results))
-	for _, res := range results {
-		p, err := truncation.NewPartial(truncation.FromResult(res))
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, p)
-	}
-	return units, nil
+	return p, choice, nil
 }
 
 // ShardCheck verifies that a query is safe to evaluate shard-locally on a

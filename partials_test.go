@@ -6,10 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"r2t/internal/core"
-	"r2t/internal/mech"
 	"r2t/internal/shard"
-	"r2t/internal/truncation"
 )
 
 // buildShardedShop generates one seeded shop instance twice: as a single
@@ -77,81 +74,19 @@ func buildShardedShop(t *testing.T, rng *rand.Rand, nShards int) (*DB, []*DB) {
 	return full, shards
 }
 
-// mergedUnits evaluates partialsOf on every shard and merges unit-by-unit:
-// the router's gather step, minus the wire.
-func mergedUnits(t *testing.T, shards []*DB, partialsOf func(*DB) (*QueryPartials, error)) []*truncation.MergedPartition {
+// shardPartials evaluates q's partial on every shard: the router's gather
+// step, minus the wire.
+func shardPartials(t *testing.T, shards []*DB, q string, opt Options) []*Partial {
 	t.Helper()
-	perShard := make([]*QueryPartials, len(shards))
+	parts := make([]*Partial, len(shards))
 	for i, sdb := range shards {
-		qp, err := partialsOf(sdb)
+		part, err := sdb.Partials(context.Background(), q, opt)
 		if err != nil {
 			t.Fatalf("shard %d partials: %v", i, err)
 		}
-		perShard[i] = qp
+		parts[i] = part
 	}
-	n := len(perShard[0].Units)
-	for i, qp := range perShard {
-		if len(qp.Units) != n || qp.Signed != perShard[0].Signed {
-			t.Fatalf("shard %d unit shape diverges: %d units signed=%v, shard 0 has %d signed=%v",
-				i, len(qp.Units), qp.Signed, n, perShard[0].Signed)
-		}
-	}
-	out := make([]*truncation.MergedPartition, n)
-	for k := 0; k < n; k++ {
-		parts := make([]*Partial, len(perShard))
-		for i, qp := range perShard {
-			parts[i] = qp.Units[k]
-		}
-		m, err := MergePartials(parts)
-		if err != nil {
-			t.Fatalf("merging unit %d: %v", k, err)
-		}
-		out[k] = m
-	}
-	return out
-}
-
-// releaseMerged runs the r2t backend over one merged operator, exactly as
-// privatize does for the unsharded twin.
-func releaseMerged(t *testing.T, m *truncation.MergedPartition, opt Options) float64 {
-	t.Helper()
-	be, ok := mech.ByName(mech.MechR2T)
-	if !ok {
-		t.Fatal("no r2t backend")
-	}
-	out, err := be.Run(m, mech.Params{
-		Epsilon:   opt.Epsilon,
-		GSQ:       opt.GSQ,
-		Beta:      opt.Beta,
-		Noise:     opt.Noise,
-		EarlyStop: opt.EarlyStop,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out.Estimate
-}
-
-// releaseMergedSigned mirrors privatizeSigned: each half at ε/2, positive
-// first, both off the same noise source.
-func releaseMergedSigned(t *testing.T, pos, neg *truncation.MergedPartition, opt Options) float64 {
-	t.Helper()
-	cfg := core.Config{
-		Epsilon:   opt.Epsilon / 2,
-		Beta:      opt.Beta,
-		GSQ:       opt.GSQ,
-		Noise:     opt.Noise,
-		EarlyStop: opt.EarlyStop,
-	}
-	outPos, err := core.Run(pos, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outNeg, err := core.Run(neg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return outPos.Estimate - outNeg.Estimate
+	return parts
 }
 
 // bitEqual requires exact floating-point identity, the sharding invariant for
@@ -164,131 +99,58 @@ func bitEqual(t *testing.T, label string, sharded, twin float64) {
 	}
 }
 
-// TestShardedEquivalenceRandomized: seeded SJA workloads — COUNT, filtered
-// SUM through a broadcast join, a signed-split SUM, and group-by in both
-// flavors — over 1, 2 and 4 shards. With paired seeded noise sources the
-// merged-partial release must be bitwise equal to the unsharded twin.
+// TestShardedEquivalenceRandomized: seeded SJA workloads — COUNT and a
+// filtered SUM through a broadcast join — over 1, 2 and 4 shards. With paired
+// seeded noise sources the release over the merged partials (ReleasePartials
+// on a row-less router DB) must be bitwise equal to the unsharded twin.
 func TestShardedEquivalenceRandomized(t *testing.T) {
 	const (
-		countQ  = `SELECT COUNT(*) FROM Customer c, Orders o WHERE c.CK = o.CK`
-		sumQ    = `SELECT SUM(o.price) FROM Customer c, Orders o, Catalog g WHERE c.CK = o.CK AND o.sku = g.sku AND o.price > 0`
-		signedQ = `SELECT SUM(o.price) FROM Customer c, Orders o WHERE c.CK = o.CK`
+		countQ = `SELECT COUNT(*) FROM Customer c, Orders o WHERE c.CK = o.CK`
+		sumQ   = `SELECT SUM(o.price) FROM Customer c, Orders o, Catalog g WHERE c.CK = o.CK AND o.sku = g.sku AND o.price > 0`
 	)
-	groups := []Value{Str("EU"), Str("US"), Str("APAC")}
+	ctx := context.Background()
 	for _, nShards := range []int{1, 2, 4} {
 		for seed := int64(0); seed < 6; seed++ {
 			full, shards := buildShardedShop(t, rand.New(rand.NewSource(seed)), nShards)
+			router := NewDB(full.Schema())
 			base := Options{GSQ: 4096, Primary: []string{"Customer"}, EarlyStop: true}
 			noiseSeed := 1000*seed + int64(nShards)
 
 			// Every workload must clear the router's static shardability gate.
 			cols := map[string]string{"Customer": "CK", "Orders": "CK"}
-			for _, q := range []string{countQ, sumQ, signedQ} {
+			for _, q := range []string{countQ, sumQ} {
 				if err := full.ShardCheck(q, base.Primary, "Customer", cols); err != nil {
 					t.Fatalf("ShardCheck(%s): %v", q, err)
 				}
 			}
 
-			// COUNT.
-			opt := base
-			opt.Epsilon = 1
-			opt.Noise = NewNoiseSource(noiseSeed)
-			twin, err := full.Query(countQ, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units := mergedUnits(t, shards, func(sdb *DB) (*QueryPartials, error) {
-				return sdb.Partials(context.Background(), countQ, opt)
-			})
-			if len(units) != 1 {
-				t.Fatalf("count query has %d units", len(units))
-			}
-			if units[0].TrueAnswer() != twin.TrueAnswer {
-				t.Fatalf("merged true answer %g != twin %g", units[0].TrueAnswer(), twin.TrueAnswer)
-			}
-			opt.Noise = NewNoiseSource(noiseSeed)
-			bitEqual(t, "count", releaseMerged(t, units[0], opt), twin.Estimate)
-
-			// Filtered SUM through the broadcast Catalog join.
-			opt = base
-			opt.Epsilon = 2
-			opt.Noise = NewNoiseSource(noiseSeed + 1)
-			twin, err = full.Query(sumQ, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = mergedUnits(t, shards, func(sdb *DB) (*QueryPartials, error) {
-				return sdb.Partials(context.Background(), sumQ, opt)
-			})
-			opt.Noise = NewNoiseSource(noiseSeed + 1)
-			bitEqual(t, "sum", releaseMerged(t, units[0], opt), twin.Estimate)
-
-			// Signed split: ε/2 per half, positive then negative.
-			opt = base
-			opt.Epsilon = 2
-			opt.AllowNegativeSum = true
-			opt.Noise = NewNoiseSource(noiseSeed + 2)
-			twin, err = full.Query(signedQ, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = mergedUnits(t, shards, func(sdb *DB) (*QueryPartials, error) {
-				return sdb.Partials(context.Background(), signedQ, opt)
-			})
-			if len(units) != 2 {
-				t.Fatalf("signed query has %d units", len(units))
-			}
-			opt.Noise = NewNoiseSource(noiseSeed + 2)
-			bitEqual(t, "signed", releaseMergedSigned(t, units[0], units[1], opt), twin.Estimate)
-
-			// Group-by: per-group ε, groups released in order off one source.
-			opt = base
-			opt.Epsilon = 3
-			opt.Noise = NewNoiseSource(noiseSeed + 3)
-			gout, err := full.QueryGroupBy(countQ, "c.region", groups, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = mergedUnits(t, shards, func(sdb *DB) (*QueryPartials, error) {
-				return sdb.GroupPartials(context.Background(), countQ, "c.region", groups, opt)
-			})
-			if len(units) != len(groups) {
-				t.Fatalf("group-by has %d units, want %d", len(units), len(groups))
-			}
-			perGroup := opt
-			perGroup.Epsilon = opt.Epsilon / float64(len(groups))
-			perGroup.Noise = NewNoiseSource(noiseSeed + 3)
-			for k := range groups {
-				bitEqual(t, "group "+groups[k].S, releaseMerged(t, units[k], perGroup), gout[k].Answer.Estimate)
-			}
-
-			// Signed group-by: (positive, negative) unit pairs per group.
-			opt = base
-			opt.Epsilon = 3
-			opt.AllowNegativeSum = true
-			opt.Noise = NewNoiseSource(noiseSeed + 4)
-			gout, err = full.QueryGroupBy(signedQ, "c.region", groups, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = mergedUnits(t, shards, func(sdb *DB) (*QueryPartials, error) {
-				return sdb.GroupPartials(context.Background(), signedQ, "c.region", groups, opt)
-			})
-			if len(units) != 2*len(groups) {
-				t.Fatalf("signed group-by has %d units, want %d", len(units), 2*len(groups))
-			}
-			perGroup = opt
-			perGroup.Epsilon = opt.Epsilon / float64(len(groups))
-			perGroup.Noise = NewNoiseSource(noiseSeed + 4)
-			for k := range groups {
-				got := releaseMergedSigned(t, units[2*k], units[2*k+1], perGroup)
-				bitEqual(t, "signed group "+groups[k].S, got, gout[k].Answer.Estimate)
+			for i, w := range []struct {
+				label, q string
+				eps      float64
+			}{{"count", countQ, 1}, {"sum", sumQ, 2}} {
+				opt := base
+				opt.Epsilon = w.eps
+				opt.Noise = NewNoiseSource(noiseSeed + int64(i))
+				twin, err := full.Query(w.q, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts := shardPartials(t, shards, w.q, opt)
+				opt.Noise = NewNoiseSource(noiseSeed + int64(i))
+				got, err := router.ReleasePartials(ctx, w.q, parts, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.TrueAnswer != twin.TrueAnswer {
+					t.Fatalf("%s: merged true answer %g != twin %g", w.label, got.TrueAnswer, twin.TrueAnswer)
+				}
+				bitEqual(t, w.label, got.Estimate, twin.Estimate)
 			}
 		}
 	}
 }
 
-// TestPartialsGates: the partial-producing entry points reject the shapes the
+// TestPartialsGates: the partial-producing entry point rejects the shapes the
 // router must never scatter.
 func TestPartialsGates(t *testing.T) {
 	full, _ := buildShardedShop(t, rand.New(rand.NewSource(1)), 1)
@@ -301,6 +163,11 @@ func TestPartialsGates(t *testing.T) {
 	}
 	if _, err := full.Partials(ctx, `SELECT COUNT(DISTINCT o.CK) FROM Orders o`, opt); err == nil {
 		t.Error("projection query must not produce partials")
+	}
+	signed := opt
+	signed.AllowNegativeSum = true
+	if _, err := full.Partials(ctx, `SELECT SUM(o.price) FROM Customer c, Orders o WHERE c.CK = o.CK`, signed); err == nil {
+		t.Error("signed split must not produce partials")
 	}
 	if err := full.ShardCheck(`SELECT COUNT(*) FROM Catalog`, opt.Primary, "Customer",
 		map[string]string{"Customer": "CK", "Orders": "CK"}); err == nil {

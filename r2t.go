@@ -300,9 +300,6 @@ func (db *DB) run(ctx context.Context, parsed *sql.Query, opt Options, rec *obs.
 	if err != nil {
 		return nil, err
 	}
-	if opt.AllowNegativeSum && parsed.Agg == sql.AggSum {
-		return db.runSigned(ctx, p, opt, rec, choice)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -310,11 +307,34 @@ func (db *DB) run(ctx context.Context, parsed *sql.Query, opt Options, rec *obs.
 	if err != nil {
 		return nil, err
 	}
+	units, err := coreUnits(c, p, opt, rec)
+	if err != nil {
+		return nil, err
+	}
+	return release(ctx, units, opt, rec, choice)
+}
+
+// signedSplit reports whether opt splits the query into non-negative halves
+// (Q = Q⁺ − Q⁻, Options.AllowNegativeSum).
+func signedSplit(p *plan.Plan, opt Options) bool {
+	return opt.AllowNegativeSum && p.Agg == sql.AggSum
+}
+
+// coreUnits evaluates a query's release units off its join core: the result
+// itself, or the positive and negative halves of a signed split.
+func coreUnits(c *exec.Core, p *plan.Plan, opt Options, rec *obs.Recorder) ([]releaseUnit, error) {
+	if signedSplit(p, opt) {
+		pos, neg, err := c.SplitResult(p, rec)
+		if err != nil {
+			return nil, err
+		}
+		return resultUnits(opt, rec, pos, neg), nil
+	}
 	res, err := c.Result(p, rec)
 	if err != nil {
 		return nil, err
 	}
-	return db.privatize(ctx, res, opt, rec, choice)
+	return resultUnits(opt, rec, res), nil
 }
 
 // chooseFor resolves Options.Mechanism against the query's structure: a pure
@@ -326,9 +346,8 @@ func chooseFor(p *plan.Plan, opt Options, groupBy bool) (*mech.Choice, error) {
 	return mech.Choose(mech.Shape{
 		SelfJoin:   p.SelfJoin(),
 		Projection: len(p.ProjVars) > 0,
-		SignedSum:  opt.AllowNegativeSum && p.Agg == sql.AggSum,
+		SignedSum:  signedSplit(p, opt),
 		GroupBy:    groupBy,
-		Atoms:      len(p.Atoms),
 	}, mech.Config{
 		Mechanism:   opt.Mechanism,
 		Epsilon:     opt.Epsilon,
@@ -367,83 +386,34 @@ func newTruncator(res *exec.Result, naive bool, opt Options, rec *obs.Recorder) 
 	return lt, nil
 }
 
-// privatize runs the chosen release mechanism over an evaluated query.
-func (db *DB) privatize(ctx context.Context, res *exec.Result, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
-	be, ok := mech.ByName(choice.Mech)
-	if !ok {
-		return nil, fmt.Errorf("r2t: no backend implements mechanism %q", choice.Mech)
-	}
-	var tr truncation.Truncator
-	switch kind := be.Truncator(); {
-	case kind == mech.TruncNaive || (kind == mech.TruncLP && opt.Naive):
-		var err error
-		if tr, err = newTruncator(res, true, opt, rec); err != nil {
-			return nil, err
-		}
-	case kind == mech.TruncLP:
-		var err error
-		if tr, err = newTruncator(res, false, opt, rec); err != nil {
-			return nil, err
-		}
-	}
-	noise := opt.Noise
-	if noise == nil {
-		// core.Run defaults its own source the same way; doing it here covers
-		// the backends that draw noise without going through core.Run.
-		noise = dp.NewSource(dp.CryptoSeed())
-	}
-	out, err := be.Run(tr, mech.Params{
-		Epsilon:   opt.Epsilon,
-		GSQ:       opt.GSQ,
-		Beta:      opt.Beta,
-		Noise:     noise,
-		Rec:       rec,
-		Answer:    res.TrueAnswer(),
-		FixedTau:  opt.FixedTau,
-		EarlyStop: opt.EarlyStop,
-		Workers:   opt.Workers,
-		Interrupt: ctx.Done(),
-		Degrade:   opt.Degrade,
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	return &Answer{
-		Estimate:    out.Estimate,
-		Degraded:    out.Degraded,
-		TrueAnswer:  res.TrueAnswer(),
-		TauStar:     res.MaxTupleSensitivity(),
-		WinnerTau:   out.WinnerTau,
-		Races:       out.Races,
-		NumResults:  len(res.Rows),
-		Individuals: res.NumIndividuals(),
-		Duration:    out.Duration,
-		Mechanism:   choice.Mech,
-		MechReason:  choice.Reason,
-		MechBound:   choice.ErrorBound,
-	}, nil
+// releaseUnit is what one backend run consumes: a builder for the truncation
+// operator, plus the non-private diagnostics the Answer reports for it.
+type releaseUnit struct {
+	truncator         func(mech.TruncatorKind) (truncation.Truncator, error)
+	answer, tauStar   float64
+	rows, individuals int
 }
 
-// runSigned answers a SUM query with possibly negative weights by splitting
-// it into non-negative halves (Q = Q⁺ − Q⁻), running R2T on each with half
-// the budget, and releasing the difference — ε-DP by basic composition and
-// post-processing.
-func (db *DB) runSigned(ctx context.Context, p *plan.Plan, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// resultUnits wraps locally evaluated results as release units. Each
+// operator is built only when the backend runs, and only of the kind it
+// needs (Laplace needs none).
+func resultUnits(opt Options, rec *obs.Recorder, results ...*exec.Result) []releaseUnit {
+	units := make([]releaseUnit, len(results))
+	for i, res := range results {
+		units[i] = releaseUnit{
+			truncator: func(kind mech.TruncatorKind) (truncation.Truncator, error) {
+				if kind == mech.TruncNone {
+					return nil, nil
+				}
+				return newTruncator(res, kind == mech.TruncNaive || opt.Naive, opt, rec)
+			},
+			answer:      res.TrueAnswer(),
+			tauStar:     res.MaxTupleSensitivity(),
+			rows:        len(res.Rows),
+			individuals: res.NumIndividuals(),
+		}
 	}
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	pos, neg, err := c.SplitResult(p, rec)
-	if err != nil {
-		return nil, err
-	}
-	return db.privatizeSigned(ctx, pos, neg, opt, rec, choice)
+	return units
 }
 
 // taggedRaces copies races with their Half tag set, so a signed split's
@@ -456,68 +426,80 @@ func taggedRaces(dst []Race, races []Race, half string) []Race {
 	return dst
 }
 
-// privatizeSigned releases Q⁺ − Q⁻ from the two halves of a signed split,
-// each privatized with half the budget. Diagnostics report both halves:
-// WinnerTau/WinnerTauNeg are the per-half winners, Races carries every race
-// tagged with its half, and TauStar is the max over the two halves. Only r2t
-// composes over the split (the chooser enforces this structurally), so both
-// halves run the R2T core directly.
-func (db *DB) privatizeSigned(ctx context.Context, pos, neg *exec.Result, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
-	cfg := core.Config{
-		Epsilon:   opt.Epsilon / 2,
-		Beta:      opt.Beta,
-		GSQ:       opt.GSQ,
-		Noise:     opt.Noise,
-		EarlyStop: opt.EarlyStop,
-		Workers:   opt.Workers,
-		Interrupt: ctx.Done(),
-		Degrade:   opt.Degrade,
-		Recorder:  rec,
+// release is the engine's one release procedure, shared by local and sharded
+// queries: it runs choice's backend over one unit, or over the two halves of
+// a signed split (Q = Q⁺ − Q⁻) at ε/2 each — positive first, off one noise
+// source — and releases the difference, ε-DP by basic composition and
+// post-processing. Only r2t composes over the split; the chooser enforces
+// this structurally. For a split, WinnerTau/WinnerTauNeg are the per-half
+// winners, Races carries every race tagged with its half, and TauStar is the
+// max over the two halves.
+func release(ctx context.Context, units []releaseUnit, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
+	be, ok := mech.ByName(choice.Mech)
+	if !ok {
+		return nil, fmt.Errorf("r2t: no backend implements mechanism %q", choice.Mech)
 	}
-	trPos, err := newTruncator(pos, opt.Naive, opt, rec)
-	if err != nil {
-		return nil, err
+	noise := opt.Noise
+	if noise == nil {
+		// core.Run defaults its own source the same way; doing it here covers
+		// the backends that draw noise without going through core.Run.
+		noise = dp.NewSource(dp.CryptoSeed())
 	}
-	outPos, err := core.Run(trPos, cfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	outs := make([]*mech.Result, len(units))
+	for i, u := range units {
+		tr, err := u.truncator(be.Truncator())
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	trNeg, err := newTruncator(neg, opt.Naive, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	outNeg, err := core.Run(trNeg, cfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+		outs[i], err = be.Run(tr, mech.Params{
+			Epsilon:   opt.Epsilon / float64(len(units)),
+			GSQ:       opt.GSQ,
+			Beta:      opt.Beta,
+			Noise:     noise,
+			Rec:       rec,
+			Answer:    u.answer,
+			FixedTau:  opt.FixedTau,
+			EarlyStop: opt.EarlyStop,
+			Workers:   opt.Workers,
+			Interrupt: ctx.Done(),
+			Degrade:   opt.Degrade,
+		})
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return nil, err
 		}
-		return nil, err
 	}
-	tauStar := pos.MaxTupleSensitivity()
-	if ts := neg.MaxTupleSensitivity(); ts > tauStar {
-		tauStar = ts
-	}
-	races := taggedRaces(make([]Race, 0, len(outPos.Races)+len(outNeg.Races)), outPos.Races, "+")
-	races = taggedRaces(races, outNeg.Races, "-")
+	pos, out := units[0], outs[0]
 	ans := &Answer{
-		Estimate:     outPos.Estimate - outNeg.Estimate,
-		Degraded:     outPos.Degraded || outNeg.Degraded,
-		TrueAnswer:   pos.TrueAnswer() - neg.TrueAnswer(),
-		TauStar:      tauStar,
-		WinnerTau:    outPos.WinnerTau,
-		WinnerTauNeg: outNeg.WinnerTau,
-		Races:        races,
-		NumResults:   len(pos.Rows) + len(neg.Rows),
-		Individuals:  pos.NumIndividuals() + neg.NumIndividuals(),
-		Duration:     outPos.Duration + outNeg.Duration,
-		Mechanism:    mech.MechR2T,
+		Estimate:    out.Estimate,
+		Degraded:    out.Degraded,
+		TrueAnswer:  pos.answer,
+		TauStar:     pos.tauStar,
+		WinnerTau:   out.WinnerTau,
+		Races:       out.Races,
+		NumResults:  pos.rows,
+		Individuals: pos.individuals,
+		Duration:    out.Duration,
+		Mechanism:   choice.Mech,
+		MechReason:  choice.Reason,
+		MechBound:   choice.ErrorBound,
 	}
-	if choice != nil {
-		ans.MechReason = choice.Reason
-		ans.MechBound = choice.ErrorBound
+	if len(units) == 2 {
+		neg, outNeg := units[1], outs[1]
+		ans.Estimate -= outNeg.Estimate
+		ans.Degraded = ans.Degraded || outNeg.Degraded
+		ans.TrueAnswer -= neg.answer
+		if neg.tauStar > ans.TauStar {
+			ans.TauStar = neg.tauStar
+		}
+		ans.WinnerTauNeg = outNeg.WinnerTau
+		ans.Races = taggedRaces(make([]Race, 0, len(out.Races)+len(outNeg.Races)), out.Races, "+")
+		ans.Races = taggedRaces(ans.Races, outNeg.Races, "-")
+		ans.NumResults += neg.rows
+		ans.Individuals += neg.individuals
+		ans.Duration += outNeg.Duration
 	}
 	return ans, nil
 }

@@ -125,10 +125,11 @@ go test -race -run 'TestServerMechanismSelection|TestServerDatasetDefaultMechani
 # above): the shard package (routing classification, owner-hash stability,
 # wire round-trip, pool scatter/hedge/retry), the partial-merge unit suite
 # and the randomized library-level sharded-vs-unsharded bit-equality sweep
-# (COUNT/SUM, group-by, signed splits over 1/2/4 shards), the router-tier
-# acceptance tests (HTTP bit-equality against an unsharded twin, append
-# routing with X-R2T-Shard, charge-free structural gates, charge-stands-on-
-# scatter-failure), the 30-epoch kill-a-shard-mid-query chaos gate (one
+# (COUNT/SUM partials released through ReleasePartials over 1/2/4 shards),
+# the router-tier acceptance tests (HTTP bit-equality against an unsharded
+# twin, router-side stage profiles, append routing with X-R2T-Shard,
+# charge-free structural gates, charge-stands-on-scatter-failure and 504 on
+# a deadline mid-scatter), the 30-epoch kill-a-shard-mid-query chaos gate (one
 # ledger record per admitted request, spent ε exact and within budget,
 # 503 + Retry-After on failed scatters, every successful release bit-equal
 # to the twin), and the redirect/retry satellites (always-set X-R2T-Primary
@@ -138,6 +139,11 @@ go test -race ./internal/shard/
 go test -race -run 'TestPartial|TestMergedPartition' ./internal/truncation/
 go test -race -run 'TestShardedEquivalenceRandomized|TestPartialsGates' .
 go test -race -run 'TestShardedEquivalence|TestRouterAppendRouting|TestRouterGates|TestRouterChargeOnScatterFailure|TestChaosShardKill|TestRetryAfterForLag|TestDefaultNodeName' ./internal/server/
+
+# The service benchmark is its own module (svcbench/go.mod), so the ./...
+# runs above skip it. Vet (which compiles it) and test it here, so a change
+# to an engine API it imports fails this gate rather than the benchmark run.
+(cd svcbench && GOFLAGS=-buildvcs=false go vet ./... && GOFLAGS=-buildvcs=false go test ./...)
 
 # Benchmark-compile smoke: every benchmark builds and runs one iteration,
 # so BENCH_*.json regeneration can't silently rot.
