@@ -38,11 +38,6 @@ type Config struct {
 	// truncators silently fall back to the plain algorithm.
 	EarlyStop bool
 
-	// DualRounds and DualItersPerRound tune the early-stop bounder
-	// (defaults: 8 rounds of 20 iterations).
-	DualRounds        int
-	DualItersPerRound int
-
 	// Workers is the number of races solved concurrently (Section 9 solves
 	// the LPs in parallel). Default 1 (serial); ≤ 0 uses GOMAXPROCS. The
 	// truncator must be safe for concurrent Value calls — the operators in
@@ -100,14 +95,16 @@ func (c *Config) fill() error {
 		// reconstruct the Laplace draws; default to the system CSPRNG.
 		c.Noise = dp.NewSource(dp.CryptoSeed())
 	}
-	if c.DualRounds <= 0 {
-		c.DualRounds = 8
-	}
-	if c.DualItersPerRound <= 0 {
-		c.DualItersPerRound = 20
-	}
 	return nil
 }
+
+// Early-stop bounding budget: at most dualWindows windows of dualWindowSteps
+// Tighten steps per race (the first step is the uniform-λ bound). A window
+// that improves the bound by less than 0.1% ends bounding.
+const (
+	dualWindows     = 8
+	dualWindowSteps = 20
+)
 
 // Race records one τ's fate, for diagnostics and the early-stop experiments.
 type Race struct {
@@ -138,6 +135,8 @@ var ErrInterrupted = errors.New("r2t: run interrupted")
 
 // DualBounded is implemented by truncators (the LP one) that can provide a
 // monotonically tightening upper bound on Q(I,τ) — R2T's early-stop hook.
+// Bounder returns nil when no bound can be built; the race then goes straight
+// to Value.
 type DualBounded interface {
 	truncation.Truncator
 	Bounder(tau float64) *lp.DualBounder
@@ -255,26 +254,11 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		shift := noise[j] - penaltyFactor*tau
 		raceStart := time.Now()
 		race := Race{Tau: tau}
-		if useEarly {
-			b := bounded.Bounder(tau)
-			prev := math.Inf(1)
-			for round := 0; round < cfg.DualRounds; round++ {
-				bound := b.Tighten(cfg.DualItersPerRound)
-				if bound+shift <= readBest() {
-					race.Pruned = true
-					race.Duration = time.Since(raceStart)
-					finish(race)
-					return nil
-				}
-				// The bound has plateaued without proving a prune: further
-				// subgradient rounds are wasted — solve exactly instead.
-				// (This keeps early stop from slowing down the easy LPs,
-				// where solving costs less than bounding.)
-				if bound > prev*0.999 {
-					break
-				}
-				prev = bound
-			}
+		if useEarly && pruneByBound(bounded.Bounder(tau), shift, readBest, cfg.Recorder) {
+			race.Pruned = true
+			race.Duration = time.Since(raceStart)
+			finish(race)
+			return nil
 		}
 		v, err := tr.Value(tau)
 		if err != nil {
@@ -363,6 +347,40 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 	out.Degraded = failures > 0
 	out.Duration = time.Since(start)
 	return out, nil
+}
+
+// pruneByBound tightens b one step at a time and reports whether some bound
+// proved that the race cannot beat the running best, i.e. bound+shift ≤ best.
+// The test runs after the uniform-λ bound and after every subgradient step.
+// Bounding gives up after dualWindows·dualWindowSteps steps, or when a window
+// has plateaued without proving a prune: further steps would be wasted, so
+// the race is solved exactly instead. (This keeps early stop from slowing
+// down the easy LPs, where solving costs less than bounding.) A nil b (no
+// bounder could be built) never prunes.
+func pruneByBound(b *lp.DualBounder, shift float64, best func() float64, rec *obs.Recorder) bool {
+	if b == nil {
+		return false
+	}
+	steps, pruned := 0, false
+	prev := math.Inf(1)
+	for steps < dualWindows*dualWindowSteps {
+		need := best() - shift
+		b.SetTarget(need)
+		bound := b.Tighten(1)
+		steps++
+		if bound <= need {
+			pruned = true
+			break
+		}
+		if steps%dualWindowSteps == 0 {
+			if bound > prev*0.999 {
+				break
+			}
+			prev = bound
+		}
+	}
+	rec.Add(obs.CtrDualSteps, int64(steps))
+	return pruned
 }
 
 // ErrorBound returns the Theorem 5.1 bound: with probability ≥ 1−β,

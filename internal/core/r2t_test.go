@@ -7,6 +7,7 @@ import (
 
 	"r2t/internal/dp"
 	"r2t/internal/exec"
+	"r2t/internal/graph"
 	"r2t/internal/lp"
 	"r2t/internal/plan"
 	"r2t/internal/schema"
@@ -193,21 +194,77 @@ func TestTheoremErrorBound(t *testing.T) {
 func TestEarlyStopMatchesPlain(t *testing.T) {
 	// With identical noise streams, Algorithm 1 (early stop) must release
 	// exactly the same value as the plain algorithm: pruned races provably
-	// cannot win.
+	// cannot win, and every released value comes from an exact solve.
 	inst, s := starInstance(t, []int{3, 5, 9, 17, 30})
-	tr := edgeTruncator(t, inst, s)
-	for seed := int64(0); seed < 50; seed++ {
-		plainOut, err := Run(tr, Config{Epsilon: 1, GSQ: 256, Noise: dp.NewSource(seed)})
-		if err != nil {
-			t.Fatal(err)
+	star := edgeTruncator(t, inst, s)
+
+	// Wedges (Q2-) reference three nodes each, so rows share variables, and
+	// the per-node counts (the τ-rows' redundancy thresholds) spread across
+	// the τ grid: rows drop out of the bounder mid-grid.
+	g := graph.GenSocial(30, 70, 10, 3)
+	sens := graph.PerNodeCounts(g, graph.Paths2)
+	lo, hi := math.Inf(1), 0.0
+	for _, c := range sens {
+		if c > 0 {
+			lo, hi = math.Min(lo, c), math.Max(hi, c)
 		}
-		earlyOut, err := Run(tr, Config{Epsilon: 1, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
-		if err != nil {
-			t.Fatal(err)
+	}
+	crosses := false
+	for _, tau := range dp.TauGrid(256) {
+		crosses = crosses || (lo < tau && tau < hi)
+	}
+	if !crosses {
+		t.Fatalf("wedge row sums [%g, %g] do not straddle a grid τ", lo, hi)
+	}
+	wedges := truncation.NewLPFromOccurrences(&truncation.Occurrences{
+		NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Paths2)})
+
+	for _, tc := range []struct {
+		name string
+		tr   *truncation.LPTruncator
+		eps  float64
+	}{{"star-edges", star, 1}, {"social-wedges", wedges, 4}} {
+		pruned := 0
+		for seed := int64(0); seed < 50; seed++ {
+			plainOut, err := Run(tc.tr, Config{Epsilon: tc.eps, GSQ: 256, Noise: dp.NewSource(seed)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			earlyOut, err := Run(tc.tr, Config{Epsilon: tc.eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(plainOut.Estimate, earlyOut.Estimate) || !sameBits(plainOut.WinnerTau, earlyOut.WinnerTau) {
+				t.Fatalf("%s seed %d: early stop (%v, τ=%v) != plain (%v, τ=%v)", tc.name, seed,
+					earlyOut.Estimate, earlyOut.WinnerTau, plainOut.Estimate, plainOut.WinnerTau)
+			}
+			for _, r := range earlyOut.Races {
+				if r.Pruned {
+					pruned++
+				}
+			}
 		}
-		if math.Abs(plainOut.Estimate-earlyOut.Estimate) > 1e-6 {
-			t.Fatalf("seed %d: early stop %g != plain %g", seed, earlyOut.Estimate, plainOut.Estimate)
+		if pruned == 0 {
+			t.Errorf("%s: early stop never pruned, so the comparison proves nothing", tc.name)
 		}
+	}
+}
+
+func TestEarlyStopWithoutBounderReportsValueError(t *testing.T) {
+	// An infinite ψ fails LP validation, so the truncator has no bounder and
+	// every Value(τ > 0) errors: early stop must surface that error.
+	tr := truncation.NewLPFromOccurrences(&truncation.Occurrences{
+		NumIndividuals: 1, Sets: [][]int32{{0}}, Psi: []float64{math.Inf(1)}})
+	if b := tr.Bounder(2); b != nil {
+		t.Fatalf("Bounder on an invalid LP = %v, want nil", b)
+	}
+	_, want := tr.Value(2)
+	if want == nil {
+		t.Fatal("Value on an invalid LP succeeded")
+	}
+	_, err := Run(tr, Config{Epsilon: 1, GSQ: 4, Noise: dp.NewSource(1), EarlyStop: true})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run error %v, want %v", err, want)
 	}
 }
 

@@ -44,10 +44,6 @@ type GridSolver struct {
 	rowSum  []float64   // Σ coef·ub over each row's live members
 	rowLive []bool      // row can be live at some τ (nonempty, not always-redundant)
 	coarse  []gridComp  // components over all eligible rows
-
-	// shared state for DualBounder construction (over the raw rows, as
-	// NewDualBounder computes it).
-	colA []float64
 }
 
 // gridComp is one connected component of the full (τ → 0⁺) structure with its
@@ -136,14 +132,6 @@ func NewGridSolver(p *Problem, tauRows []int) (*GridSolver, error) {
 	for k := 0; k < p.NumVars; k++ {
 		if live[k] && !inRow[k] {
 			g.ubFixed = append(g.ubFixed, k)
-		}
-	}
-
-	// Column sums over the raw rows, shared by every Bounder.
-	g.colA = make([]float64, p.NumVars)
-	for _, r := range p.Rows {
-		for j, k := range r.Idx {
-			g.colA[k] += r.Coef[j]
 		}
 	}
 	return g, nil

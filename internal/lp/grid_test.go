@@ -197,6 +197,21 @@ func TestGridBounderMatchesNewDualBounder(t *testing.T) {
 	}
 }
 
+func TestBounderStepAllocFree(t *testing.T) {
+	// Early stop runs up to 160 bounder steps per race; after the first
+	// Tighten (the uniform pass) a step must reuse the bounder's scratch.
+	p := wedgeProblem(50, 3, 0, 9)
+	g, err := NewGridSolver(p, allTauRows(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.Bounder(2)
+	b.Tighten(1)
+	if allocs := testing.AllocsPerRun(50, func() { b.Tighten(1) }); allocs != 0 {
+		t.Fatalf("Tighten(1) allocates %v times per step, want 0", allocs)
+	}
+}
+
 func TestGridConcurrentSolves(t *testing.T) {
 	// SolveTau must be safe for concurrent use (core.Run's race workers).
 	p := wedgeProblem(50, 3, 0, 9)

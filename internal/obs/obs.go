@@ -70,6 +70,7 @@ const (
 	CtrLPComponents                     // independent LP blocks solved
 	CtrRedundantSkips                   // τ-monotone redundancy eliminations (rows/components skipped)
 	CtrEarlyStopPrune                   // races killed by a dual bound before an exact solve
+	CtrDualSteps                        // early-stop dual bounder steps (uniform pass + subgradient steps)
 	CtrExecRowsProbed                   // assignments entering a join step
 	CtrExecRowsOut                      // assignments leaving a join step
 	CtrIndexCacheHit                    // build-side index served from the table cache
@@ -86,7 +87,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"simplex_iters", "simplex_pivots", "lp_components", "grid_redundant_skips",
-	"earlystop_prunes", "exec_rows_probed", "exec_rows_emitted",
+	"earlystop_prunes", "dual_bound_steps", "exec_rows_probed", "exec_rows_emitted",
 	"index_cache_hits", "index_cache_misses", "index_cache_evictions",
 	"index_cache_extended_hits", "arena_bytes",
 	"join_core_hits", "join_core_misses",

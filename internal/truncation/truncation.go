@@ -309,13 +309,16 @@ func (t *LPTruncator) SetSolveOptions(opt lp.Options) { t.solveOpt = opt }
 func (t *LPTruncator) SetRecorder(rec *obs.Recorder) { t.rec = rec }
 
 // Bounder returns a dual bounder for the τ-LP, used by R2T's early stop. It
-// shares the grid skeleton's column sums; the bound sequence is identical to
-// a bounder built on the materialized per-τ problem.
+// bounds the rows live at τ over the grid skeleton's merged rows; the bound
+// sequence is identical to a bounder built on the materialized per-τ problem.
+// It returns nil when the grid cannot be built, in which case every Value
+// reports the error.
 func (t *LPTruncator) Bounder(tau float64) *lp.DualBounder {
-	if g, err := t.gridSolver(); err == nil {
-		return g.Bounder(tau)
+	g, err := t.gridSolver()
+	if err != nil {
+		return nil
 	}
-	return lp.NewDualBounder(t.problem(tau))
+	return g.Bounder(tau)
 }
 
 // TrueAnswer returns Q(I).

@@ -353,16 +353,25 @@ func TestBounderDominatesValue(t *testing.T) {
 	inst := example62Instance(10)
 	res := runQuery(t, edgeCountSQL, inst)
 	tr := NewLP(res)
-	for _, tau := range []float64{2, 8, 32} {
+	// The capacity rows' sums (node degrees) are 1, 2, 3, 8, 16 and 32. The
+	// τ set lands below, on, between and above them, so the bounder's live
+	// row set shrinks mid-grid.
+	for _, tau := range []float64{0.5, 1, 1.5, 2, 2.5, 3, 5, 8, 12, 16, 24, 32, 64} {
 		v, err := tr.Value(tau)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b := tr.Bounder(tau)
+		prev := b.Bound()
 		for i := 0; i < 10; i++ {
-			if bound := b.Tighten(10); bound < v-1e-6 {
+			bound := b.Tighten(10)
+			if bound < v-1e-9*math.Max(1, v) {
 				t.Fatalf("dual bound %g below exact value %g at τ=%g", bound, v, tau)
 			}
+			if bound > prev {
+				t.Fatalf("dual bound rose from %g to %g at τ=%g", prev, bound, tau)
+			}
+			prev = bound
 		}
 	}
 }

@@ -48,6 +48,16 @@ go test -race -run 'TestGridSolveTau|TestGridMixed|TestGridConcurrent|TestQuickC
 go test -race -run 'TestLPProperties|TestValues|TestValueBitIdentical|TestIterationLimitPropagatesAsError' ./internal/truncation/
 go test -race -run 'TestParallelBitIdenticalToSerial' ./internal/core/
 
+# Early-stop gate, named explicitly (these also ran inside the full suite
+# above): the dual bounder that prunes races (Algorithm 1) bounds only the
+# rows live at τ, so every bound must stay a valid, nonincreasing upper bound
+# on Q(I,τ) as rows drop out mid-grid; the grid bounder and NewDualBounder on
+# the materialized problem must agree bit for bit; a bounder step must not
+# allocate; and a seeded early-stop run must release the plain run's estimate
+# and winning τ bit for bit, serially and with parallel workers — all under
+# the race detector (DESIGN.md §3).
+go test -race -run 'TestEarlyStop|TestParallelWorkersMatchSerial|TestDualBounder|TestGridBounder|TestBounder|TestQuickBounderSandwich' ./internal/core/ ./internal/lp/ ./internal/truncation/
+
 # Executor equivalence gate, named explicitly (these also ran inside the
 # full suite above): the optimized join executor must reproduce the frozen
 # baseline bit-for-bit — row order, ψ bits, provenance refs, projection
